@@ -10,6 +10,8 @@
 use crate::bridge::BridgeView;
 use crate::context::ContextState;
 use crate::privacy::PrivacyState;
+use crate::snapshot::PolicyView;
+use parking_lot::Mutex;
 use policy::{
     events, CompiledPolicy, InstantiateError, Instantiated, PolicyGraph, RegenReport, VerifyGate,
 };
@@ -19,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use snoop::{DetectorError, Dur, EventId, Params, Ts};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Why an engine operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,6 +123,36 @@ pub struct Engine {
     /// fresh push from its coordinator.
     #[serde(skip)]
     external_active: BTreeMap<RoleId, usize>,
+    /// What read-path snapshots share of the policy (see [`PolicyView`]).
+    /// Derived state with the compiled plan's lifecycle: built on first
+    /// use, never persisted, dropped by [`Engine::apply_policy`] — the
+    /// only operation that changes PA, the hierarchy, the permission set
+    /// or the privacy state.
+    #[serde(skip)]
+    view: OnceLock<Arc<PolicyView>>,
+    /// The GTRBAC half of [`Engine::validity_horizon`], remembered.
+    #[serde(skip)]
+    temporal_horizon: HorizonMemo,
+}
+
+/// `(computed_at, next)`: the answer `next_transition_after(computed_at)`
+/// gave. The transitions after an instant are a fixed set of instants, so
+/// the same answer holds for every `t` with `computed_at <= t < next`, and
+/// for good when `next` is `None`; [`Engine::apply_policy`], which changes
+/// the periodic policies, clears it. Behind a lock only because
+/// [`Engine::validity_horizon`] takes `&self` and the engine stays `Sync`.
+struct HorizonMemo(Mutex<Option<(Ts, Option<Ts>)>>);
+
+impl Default for HorizonMemo {
+    fn default() -> HorizonMemo {
+        HorizonMemo(Mutex::new(None))
+    }
+}
+
+impl Clone for HorizonMemo {
+    fn clone(&self) -> HorizonMemo {
+        HorizonMemo(Mutex::new(*self.0.lock()))
+    }
 }
 
 /// An event to dispatch: pre-resolved (compiled fast path) or by name.
@@ -204,6 +237,8 @@ impl Engine {
             compile_checked: true,
             compile_disabled: false,
             external_active: BTreeMap::new(),
+            view: OnceLock::new(),
+            temporal_horizon: HorizonMemo::default(),
         })
     }
 
@@ -320,12 +355,22 @@ impl Engine {
     }
 
     /// Capture an immutable read-path snapshot of the current
-    /// authorization state (see [`crate::AuthSnapshot`]).
+    /// authorization state (see [`crate::AuthSnapshot`]). Shares the
+    /// session table and the policy view with the engine: O(1) plus the
+    /// per-capture header.
     pub fn snapshot(&self) -> crate::snapshot::AuthSnapshot {
         crate::snapshot::AuthSnapshot::capture(self)
     }
 
-    /// The event detector (read-only; snapshot capture needs timer state).
+    /// The policy-only state every snapshot shares, built on first use
+    /// after construction, restore or [`Engine::apply_policy`].
+    pub fn policy_view(&self) -> &Arc<PolicyView> {
+        self.view
+            .get_or_init(|| Arc::new(PolicyView::build(&self.inst.system, &self.privacy)))
+    }
+
+    /// The event detector (read-only; the snapshot soundness gate walks the
+    /// event graph).
     pub(crate) fn detector_ref(&self) -> &snoop::Detector {
         &self.inst.detector
     }
@@ -342,12 +387,6 @@ impl Engine {
         self.inst.detector.pending_timer_deadlines()
     }
 
-    /// The temporal policies (read-only; snapshot capture needs the
-    /// next-transition horizon).
-    pub(crate) fn temporal_ref(&self) -> &gtrbac::TemporalPolicies {
-        &self.inst.temporal
-    }
-
     /// The earliest instant at which deferred machinery (a pending
     /// detector timer or a GTRBAC periodic enable/disable boundary) may
     /// change an authorization decision — the validity horizon a
@@ -356,10 +395,28 @@ impl Engine {
     /// from engine state to cross-check a published snapshot's horizon.
     pub fn validity_horizon(&self) -> Option<Ts> {
         let next_timer = self.inst.detector.next_timer_at();
-        let next_temporal = self.inst.temporal.next_transition_after(self.now());
-        match (next_timer, next_temporal) {
+        match (next_timer, self.next_temporal_transition()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
+        }
+    }
+
+    /// The next GTRBAC periodic enable/disable boundary after the current
+    /// clock: a walk over every periodic policy, so remembered (see
+    /// [`HorizonMemo`]) for as long as the answer holds.
+    fn next_temporal_transition(&self) -> Option<Ts> {
+        let now = self.now();
+        let mut memo = self.temporal_horizon.0.lock();
+        match *memo {
+            Some((at, next)) if at <= now && next.is_none_or(|n| now < n) => {
+                debug_assert_eq!(next, self.inst.temporal.next_transition_after(now));
+                next
+            }
+            _ => {
+                let next = self.inst.temporal.next_transition_after(now);
+                *memo = Some((now, next));
+                next
+            }
         }
     }
 
@@ -890,6 +947,8 @@ impl Engine {
             policy::compile_pool(&self.inst, &analysis).ok()
         };
         self.compile_checked = true;
+        self.view = OnceLock::new();
+        self.temporal_horizon = HorizonMemo::default();
         self.exec.assume_acyclic = analysis.proved_terminating();
         // Independence certificates follow the regenerated pool.
         self.exec.assume_independent = true;
@@ -1268,6 +1327,65 @@ mod tests {
             e.role_id("Ghost"),
             Err(EngineError::UnknownName(_))
         ));
+    }
+
+    /// The two derived caches behind `snapshot()`: the remembered GTRBAC
+    /// horizon follows the clock across a boundary and a policy change
+    /// that moves the boundary, and the policy view is rebuilt by
+    /// `apply_policy` and by nothing else.
+    #[test]
+    fn snapshot_caches_follow_clock_and_policy() {
+        let window = |start_h, end_h| policy::DailyWindow {
+            start_h,
+            start_m: 0,
+            end_h,
+            end_m: 0,
+        };
+        let mut g = PolicyGraph::enterprise_xyz();
+        g.user("alice");
+        g.assign("alice", "PM");
+        g.role("PM").enabling = Some(window(9, 17));
+        let mut e = Engine::from_policy(&g, Ts::ZERO).unwrap();
+        let truth = |e: &Engine| e.inst.temporal.next_transition_after(e.now());
+
+        let opens = e.next_temporal_transition().expect("a window opens");
+        assert_eq!(Some(opens), truth(&e));
+        assert_eq!(*e.temporal_horizon.0.lock(), Some((Ts::ZERO, Some(opens))));
+        // Inside [computed_at, next): answered from the memo, unchanged.
+        e.advance_to(Ts(opens.0 - 1)).unwrap();
+        assert_eq!(e.next_temporal_transition(), Some(opens));
+        assert_eq!(*e.temporal_horizon.0.lock(), Some((Ts::ZERO, Some(opens))));
+        // At the boundary the memo no longer holds and is recomputed.
+        e.advance_to(opens).unwrap();
+        let closes = e.next_temporal_transition().expect("the window closes");
+        assert!(closes > opens);
+        assert_eq!(Some(closes), truth(&e));
+
+        // Rule actions (an activation here) leave the view alone...
+        let view = Arc::clone(e.policy_view());
+        let alice = e.user_id("alice").unwrap();
+        let pm = e.role_id("PM").unwrap();
+        e.create_session(alice, &[pm]).unwrap();
+        assert!(Arc::ptr_eq(&view, e.policy_view()));
+        assert!(Arc::ptr_eq(&view, e.clone().policy_view()));
+        // ...a policy change drops both caches.
+        g.role("PM").enabling = Some(window(9, 12));
+        g.permission("audit_po", "audit", "purchase_order");
+        g.grant("audit_po", "PM");
+        e.apply_policy(&g).unwrap();
+        assert_eq!(e.next_temporal_transition(), truth(&e));
+        assert!(e.next_temporal_transition().expect("closes at noon") < closes);
+        assert!(!Arc::ptr_eq(&view, e.policy_view()));
+        assert_eq!(
+            **e.policy_view(),
+            PolicyView::build(e.system(), e.privacy())
+        );
+        assert_ne!(**e.policy_view(), *view, "the new grant is in the view");
+        // A restored engine starts with neither and rebuilds the same.
+        let restored: Engine = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert!(restored.view.get().is_none());
+        assert_eq!(**restored.policy_view(), **e.policy_view());
+        assert_eq!(restored.validity_horizon(), e.validity_horizon());
     }
 }
 

@@ -70,7 +70,7 @@ pub use journal::{
 };
 pub use privacy::{ObjectPolicy, PrivacyState, PurposeId};
 pub use shared::SharedEngine;
-pub use snapshot::AuthSnapshot;
+pub use snapshot::{AuthSnapshot, PolicyView};
 pub use storage::{
     FaultKind, FaultPlan, FaultyStorage, FileStorage, MemStorage, Scripted, ScriptedFault,
     SplitMix64, Storage, StorageError,

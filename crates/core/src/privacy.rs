@@ -33,7 +33,7 @@ pub struct ObjectPolicy {
 }
 
 /// Purpose registry + hierarchy + object policies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PrivacyState {
     names: Vec<String>,
     by_name: HashMap<String, PurposeId>,

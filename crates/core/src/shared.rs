@@ -22,10 +22,35 @@
 //!   (denial audit entry, `accessDenied` feed into active security). The
 //!   one relaxation: fast-path grants skip the `Fired`/`Allowed` audit
 //!   entries a locked grant would append.
-//! * The first slow read after a write rebuilds and republishes the
-//!   snapshot under the mutex; concurrent readers keep hitting the old
-//!   epoch's snapshot until then, which is linearizable (those reads order
-//!   before the write).
+//! * Every mutator republishes before it releases the mutex, if its
+//!   operation moved the epoch (a refused request usually does not). A
+//!   reader that loaded the previous snapshot a moment earlier finishes
+//!   its read on it, which is linearizable (that read orders before the
+//!   write); a reader that finds the published epoch behind the mirror
+//!   takes the locked path.
+//!
+//! # What a write costs
+//!
+//! A published snapshot does not copy the engine's state, it shares it
+//! (see [`crate::snapshot`]), so a republish is O(1) in the number of
+//! sessions, roles and permissions:
+//!
+//! * *shared, never copied*: the session table (a persistent chunked
+//!   vector owned by the monitor) and the policy view (role → permission
+//!   closures, `(op, obj)` index, privacy state) behind one `Arc`;
+//! * *copied by a write*: the monitor's first write to a session after a
+//!   publish copies the table's spine, the 64 slot pointers of that
+//!   session's chunk and the one session record — the old snapshot keeps
+//!   the originals. Sessions a write does not touch are not copied, and
+//!   sweeps (`disable_role`, `deassign_user`) look before they write;
+//! * *recomputed per publish*: epoch, clock, validity horizon (its GTRBAC
+//!   half remembered between boundaries) and the structural fast-path
+//!   proof;
+//! * *rebuilt only after `apply_policy`*: the policy view,
+//!   O(roles × permissions), on the first publish after the change.
+//!
+//! The previous snapshot is dropped by the writer when it publishes, or
+//! by the last reader still holding it.
 //!
 //! # Re-entrancy contract
 //!

@@ -3,12 +3,27 @@
 //! `checkAccess` is by far the hottest operation and, in the common case,
 //! is *decision-only*: the generated CA rule inspects state (session
 //! exists, session has the permission, purpose acceptable) and either
-//! allows or raises an error, changing nothing. [`AuthSnapshot`] captures
+//! allows or raises an error, changing nothing. [`AuthSnapshot`] holds
 //! exactly the state that decision reads — per-session active-role sets,
 //! role → permission closures, the `(op, obj)` permission index and the
 //! privacy state — so that a grant can be computed without holding the
 //! engine mutex at all. [`crate::SharedEngine`] publishes one snapshot per
 //! engine epoch and routes reads through it.
+//!
+//! # What a capture costs
+//!
+//! A snapshot copies none of that state; it shares it with the engine:
+//!
+//! * the session table is the monitor's own [`SessionTable`], cloned in
+//!   O(1). The monitor's next write to a session copies that session's
+//!   chunk and record for itself and leaves the snapshot's untouched, so
+//!   no write site has to report what it changed;
+//! * everything that depends only on the policy — closures, permission
+//!   index, privacy state — is one [`PolicyView`] behind an `Arc`, built
+//!   by the engine on first use and again only after `apply_policy`;
+//! * per capture: the epoch, the clock, the validity horizon and the
+//!   soundness gate below, which is re-proved every time because a rule
+//!   action can disable the CA rule in the middle of any dispatch.
 //!
 //! # Soundness
 //!
@@ -55,10 +70,11 @@
 use crate::engine::Engine;
 use crate::privacy::{PrivacyState, PurposeId};
 use policy::events;
-use rbac::{ObjId, OpId, PermId, RoleId, SessionId};
+use rbac::{ObjId, OpId, PermId, RoleId, SessionId, SessionTable, System};
 use sentinel::{ActionSpec, Check, CondExpr, ParamRef};
 use snoop::Ts;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// What the structural gate proved about the CA rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +84,46 @@ struct FastPath {
     needs_purpose: bool,
 }
 
-/// An immutable capture of everything `checkAccess` reads, valid for one
+/// The part of a snapshot that depends only on the policy: PA with the
+/// role hierarchy folded in, the permission index and the privacy state.
+/// Rule actions cannot change any of its inputs (they activate, enable
+/// and assign), so the engine builds it once per `apply_policy` and every
+/// snapshot in between shares it ([`Engine::policy_view`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyView {
+    /// Role → full permission closure (direct + inherited from juniors).
+    role_perms: HashMap<RoleId, BTreeSet<PermId>>,
+    /// Role → roles it dominates (reflexive junior closure); drives the
+    /// privacy policy's role-dominance applicability test. Empty when
+    /// there are no object policies to apply.
+    dominated: HashMap<RoleId, BTreeSet<RoleId>>,
+    /// `(op, obj)` → permission id.
+    perm_index: HashMap<(OpId, ObjId), PermId>,
+    /// Purposes, purpose hierarchy and object policies.
+    privacy: PrivacyState,
+}
+
+impl PolicyView {
+    /// Compute the view of `sys` and `privacy`: O(roles × permissions).
+    pub fn build(sys: &System, privacy: &PrivacyState) -> PolicyView {
+        let mut dominated = HashMap::new();
+        if !privacy.policies().is_empty() {
+            for r in sys.all_roles() {
+                let mut d = sys.juniors_closure(r).unwrap_or_default();
+                d.insert(r);
+                dominated.insert(r, d);
+            }
+        }
+        PolicyView {
+            role_perms: sys.all_role_perm_closures(),
+            dominated,
+            perm_index: sys.permission_pairs().collect(),
+            privacy: privacy.clone(),
+        }
+    }
+}
+
+/// An immutable view of everything `checkAccess` reads, valid for one
 /// engine epoch over the interval `[from, valid_until)`.
 ///
 /// Build via [`Engine::snapshot`]; share via `Arc`. All methods are
@@ -79,58 +134,22 @@ pub struct AuthSnapshot {
     from: Ts,
     valid_until: Option<Ts>,
     fast: Option<FastPath>,
-    /// Session → active role set.
-    sessions: HashMap<u32, BTreeSet<RoleId>>,
-    /// Role → full permission closure (direct + inherited from juniors).
-    role_perms: HashMap<RoleId, BTreeSet<PermId>>,
-    /// Role → roles it dominates (reflexive junior closure); drives the
-    /// privacy policy's role-dominance applicability test.
-    dominated: HashMap<RoleId, BTreeSet<RoleId>>,
-    /// `(op, obj)` → permission id.
-    perm_index: HashMap<(OpId, ObjId), PermId>,
-    /// Purposes, purpose hierarchy and object policies at capture time.
-    privacy: PrivacyState,
+    /// Session → active role set: the monitor's table as of the capture.
+    sessions: SessionTable,
+    view: Arc<PolicyView>,
 }
 
 impl AuthSnapshot {
     /// Capture the engine's current authorization state. Called by
     /// [`Engine::snapshot`]; runs under whatever lock protects the engine.
     pub(crate) fn capture(engine: &Engine) -> AuthSnapshot {
-        let sys = engine.system();
-        let from = engine.now();
-        let next_timer = engine.detector_ref().next_timer_at();
-        let next_temporal = engine.temporal_ref().next_transition_after(from);
-        let valid_until = match (next_timer, next_temporal) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-
-        let fast = Self::prove_fast_path(engine);
-        let mut sessions = HashMap::new();
-        for s in sys.all_sessions() {
-            if let Ok(active) = sys.session_roles(s) {
-                sessions.insert(s.0, active);
-            }
-        }
-        let needs_privacy = fast.is_some_and(|f| f.needs_purpose);
-        let mut dominated = HashMap::new();
-        if needs_privacy {
-            for r in sys.all_roles() {
-                let mut d = sys.juniors_closure(r).unwrap_or_default();
-                d.insert(r);
-                dominated.insert(r, d);
-            }
-        }
         AuthSnapshot {
             epoch: engine.state_version(),
-            from,
-            valid_until,
-            fast,
-            sessions,
-            role_perms: sys.all_role_perm_closures(),
-            dominated,
-            perm_index: sys.permission_pairs().collect(),
-            privacy: engine.privacy().clone(),
+            from: engine.now(),
+            valid_until: engine.validity_horizon(),
+            fast: Self::prove_fast_path(engine),
+            sessions: engine.system().sessions().clone(),
+            view: Arc::clone(engine.policy_view()),
         }
     }
 
@@ -232,12 +251,12 @@ impl AuthSnapshot {
 
     /// Resolve a purpose name against the captured purpose registry.
     pub fn purpose_by_name(&self, name: &str) -> Option<PurposeId> {
-        self.privacy.purpose_by_name(name)
+        self.view.privacy.purpose_by_name(name)
     }
 
     /// Number of sessions captured.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.sessions.count()
     }
 
     /// The pure `checkAccess` decision. **Only `true` is authoritative**:
@@ -255,16 +274,17 @@ impl AuthSnapshot {
             return false;
         };
         // SessionExists(session)
-        let Some(active) = self.sessions.get(&session.0) else {
+        let Some(active) = self.sessions.active_roles(session) else {
             return false;
         };
         // SessionHasPermission(session, op, obj)
-        let Some(&perm) = self.perm_index.get(&(op, obj)) else {
+        let view = &*self.view;
+        let Some(&perm) = view.perm_index.get(&(op, obj)) else {
             return false;
         };
         let has = active
             .iter()
-            .any(|r| self.role_perms.get(r).is_some_and(|ps| ps.contains(&perm)));
+            .any(|r| view.role_perms.get(r).is_some_and(|ps| ps.contains(&perm)));
         if !has {
             return false;
         }
@@ -285,20 +305,21 @@ impl AuthSnapshot {
         obj: ObjId,
         purpose: Option<PurposeId>,
     ) -> bool {
+        let view = &*self.view;
         let mut applicable = false;
-        for p in self.privacy.policies() {
+        for p in view.privacy.policies() {
             if p.op != op || p.obj != obj {
                 continue;
             }
             let role_applies = active
                 .iter()
-                .any(|a| self.dominated.get(a).is_some_and(|d| d.contains(&p.role)));
+                .any(|a| view.dominated.get(a).is_some_and(|d| d.contains(&p.role)));
             if !role_applies {
                 continue;
             }
             applicable = true;
             if let Some(given) = purpose {
-                if self.privacy.satisfies(given, p.purpose) {
+                if view.privacy.satisfies(given, p.purpose) {
                     return true;
                 }
             }

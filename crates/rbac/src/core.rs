@@ -70,9 +70,7 @@ impl System {
         let rec = self.role(r)?.clone();
         // Deactivate in every session.
         for s in self.all_sessions().collect::<Vec<_>>() {
-            if let Some(sess) = self.sessions[s.index()].as_mut() {
-                sess.active.remove(&r);
-            }
+            self.retain_active(s, |active| active != r);
         }
         for u in rec.users {
             if let Ok(user) = self.user_mut(u) {
@@ -154,9 +152,7 @@ impl System {
         let authorized = self.authorized_roles(u)?;
         let sessions: Vec<SessionId> = self.user(u)?.sessions.iter().copied().collect();
         for s in sessions {
-            if let Some(sess) = self.sessions[s.index()].as_mut() {
-                sess.active.retain(|role| authorized.contains(role));
-            }
+            self.retain_active(s, |role| authorized.contains(&role));
         }
         Ok(())
     }
@@ -189,11 +185,11 @@ impl System {
     /// roles (each must be authorized, enabled, and jointly DSD-consistent).
     pub fn create_session(&mut self, u: UserId, initial: &[RoleId]) -> Result<SessionId> {
         self.user(u)?;
-        let id = SessionId(u32::try_from(self.sessions.len()).expect("session count fits u32"));
-        self.sessions.push(Some(SessionRec {
+        let slot = self.sessions.push(SessionRec {
             user: u,
             active: BTreeSet::new(),
-        }));
+        });
+        let id = SessionId(u32::try_from(slot).expect("session count fits u32"));
         self.user_mut(u)?.sessions.insert(id);
         for &r in initial {
             if let Err(e) = self.add_active_role(u, id, r) {
@@ -216,7 +212,7 @@ impl System {
     }
 
     pub(crate) fn delete_session_internal(&mut self, s: SessionId) {
-        if let Some(sess) = self.sessions.get_mut(s.index()).and_then(Option::take) {
+        if let Some(sess) = self.sessions.take(s.index()) {
             if let Some(user) = self
                 .users
                 .get_mut(sess.user.index())
@@ -263,9 +259,10 @@ impl System {
         if sess.user != u {
             return Err(RbacError::NotSessionOwner(s, u));
         }
-        if !self.session_mut(s)?.active.remove(&r) {
+        if !sess.active.contains(&r) {
             return Err(RbacError::RoleNotActive(s, r));
         }
+        self.session_mut(s)?.active.remove(&r);
         Ok(())
     }
 
@@ -306,10 +303,8 @@ impl System {
         let mut affected = Vec::new();
         if deactivate {
             for s in self.all_sessions().collect::<Vec<_>>() {
-                if let Some(sess) = self.sessions[s.index()].as_mut() {
-                    if sess.active.remove(&r) {
-                        affected.push(s);
-                    }
+                if self.retain_active(s, |active| active != r) {
+                    affected.push(s);
                 }
             }
         }
@@ -344,13 +339,20 @@ impl System {
     /// Distinct users with `r` active in at least one session.
     pub fn active_users_of_role(&self, r: RoleId) -> Result<usize> {
         self.role(r)?;
-        let mut users = BTreeSet::new();
-        for sess in self.sessions.iter().flatten() {
-            if sess.active.contains(&r) {
-                users.insert(sess.user);
-            }
-        }
-        Ok(users.len())
+        Ok(self.users_active_in(r).len())
+    }
+
+    /// Distinct users with `r` active, found by a sweep over every
+    /// session slot. Written as one iterator chain on purpose: `collect`
+    /// drives the table's chunked iterator from the inside, as nested
+    /// loops, which a `for` over it does not get.
+    fn users_active_in(&self, r: RoleId) -> BTreeSet<UserId> {
+        self.sessions
+            .iter()
+            .flatten()
+            .filter(|sess| sess.active.contains(&r))
+            .map(|sess| sess.user)
+            .collect()
     }
 
     /// Distinct roles `u` has active across all their sessions.
@@ -369,12 +371,7 @@ impl System {
         if let Some(max) = self.role(r)?.activation_cap {
             // The activating user may already be active in the role in
             // another session; only *new* users count against the cap.
-            let mut users = BTreeSet::new();
-            for sess in self.sessions.iter().flatten() {
-                if sess.active.contains(&r) {
-                    users.insert(sess.user);
-                }
-            }
+            let users = self.users_active_in(r);
             if !users.contains(&u) && users.len() >= max {
                 return Err(RbacError::CardinalityExceeded { role: r, max });
             }

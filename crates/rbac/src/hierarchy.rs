@@ -64,9 +64,7 @@ impl System {
             let authorized = self.authorized_roles(u)?;
             let sessions: Vec<_> = self.user(u)?.sessions.iter().copied().collect();
             for s in sessions {
-                if let Some(sess) = self.sessions[s.index()].as_mut() {
-                    sess.active.retain(|r| authorized.contains(r));
-                }
+                self.retain_active(s, |r| authorized.contains(&r));
             }
         }
         Ok(())

@@ -42,9 +42,11 @@ pub mod error;
 pub mod hierarchy;
 pub mod ids;
 pub mod review;
+pub mod sessions;
 pub mod ssd;
 pub mod system;
 
 pub use error::{RbacError, Result};
 pub use ids::{DsdId, ObjId, OpId, PermId, RoleId, SessionId, SsdId, UserId};
+pub use sessions::SessionTable;
 pub use system::{HierarchyKind, Permission, System};

@@ -18,6 +18,7 @@
 
 use crate::error::{RbacError, Result};
 use crate::ids::{DsdId, ObjId, OpId, PermId, RoleId, SessionId, SsdId, UserId};
+use crate::sessions::SessionTable;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
@@ -91,7 +92,7 @@ pub(crate) struct SodSet {
 pub struct System {
     pub(crate) users: Vec<Option<UserRec>>,
     pub(crate) roles: Vec<Option<RoleRec>>,
-    pub(crate) sessions: Vec<Option<SessionRec>>,
+    pub(crate) sessions: SessionTable,
     pub(crate) ops: Vec<String>,
     pub(crate) objs: Vec<String>,
     pub(crate) perms: Vec<Permission>,
@@ -179,15 +180,28 @@ impl System {
     pub(crate) fn session(&self, s: SessionId) -> Result<&SessionRec> {
         self.sessions
             .get(s.index())
-            .and_then(Option::as_ref)
             .ok_or(RbacError::NoSuchSession(s))
     }
 
     pub(crate) fn session_mut(&mut self, s: SessionId) -> Result<&mut SessionRec> {
         self.sessions
             .get_mut(s.index())
-            .and_then(Option::as_mut)
             .ok_or(RbacError::NoSuchSession(s))
+    }
+
+    /// Deactivate in session `s` every role `keep` rejects; true if any
+    /// was active. Looks before it writes: on a table a snapshot shares,
+    /// `session_mut` copies the session's chunk, which a sweep over every
+    /// session must not pay for the ones it leaves as they are.
+    pub(crate) fn retain_active(&mut self, s: SessionId, keep: impl Fn(RoleId) -> bool) -> bool {
+        let drops = |rec: &SessionRec| rec.active.iter().any(|&r| !keep(r));
+        if !self.sessions.get(s.index()).is_some_and(drops) {
+            return false;
+        }
+        if let Some(rec) = self.sessions.get_mut(s.index()) {
+            rec.active.retain(|&r| keep(r));
+        }
+        true
     }
 
     // ---- entity counts (for stats / workload assertions) --------------------
@@ -204,7 +218,14 @@ impl System {
 
     /// Number of open sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.iter().flatten().count()
+        self.sessions.count()
+    }
+
+    /// The session table. Cloning it is O(1) and the clone is immutable
+    /// from then on (see [`SessionTable`]): the read-path snapshot's view
+    /// of SESSIONS.
+    pub fn sessions(&self) -> &SessionTable {
+        &self.sessions
     }
 
     /// Number of distinct permissions ever defined.

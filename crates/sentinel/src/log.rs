@@ -109,17 +109,29 @@ impl AuditLog {
 
     /// An empty log retaining at most `cap` entries.
     pub fn with_cap(cap: usize) -> AuditLog {
-        AuditLog {
-            cap: Some(cap),
-            ..AuditLog::default()
-        }
+        let mut log = AuditLog::default();
+        log.set_cap(Some(cap));
+        log
     }
 
     /// Change the retention cap (`None` = unbounded). Shrinking evicts the
     /// oldest entries immediately.
+    ///
+    /// A capped log is a ring of fixed size, so its buffer is reserved
+    /// here, once, for `cap` entries plus the one `push` holds before it
+    /// evicts. Left to grow by doubling, the ring ends at twice the cap
+    /// (that one entry over), copies itself inside whichever operation
+    /// crosses a power of two, and whether its last block (9 MiB for
+    /// 65 536 entries) fits into the process's recycled heap is a matter
+    /// of allocator layout: identical runs differed by 3 MiB of resident
+    /// memory. A cap too large to reserve grows on demand instead.
     pub fn set_cap(&mut self, cap: Option<usize>) {
         self.cap = cap;
         self.enforce_cap();
+        if let Some(cap) = cap {
+            let room = cap.saturating_add(1).saturating_sub(self.entries.len());
+            let _ = self.entries.try_reserve_exact(room);
+        }
     }
 
     /// The retention cap in force.
@@ -272,6 +284,24 @@ mod tests {
         log.clear();
         assert_eq!(log.denial_count(), 0);
         assert_eq!(log.cap(), Some(3), "cap survives clear");
+    }
+
+    #[test]
+    fn capped_log_never_reallocates() {
+        let mut log = AuditLog::with_cap(100);
+        let reserved = log.entries.capacity();
+        assert!(
+            reserved > 100,
+            "room for the cap and the entry being pushed"
+        );
+        for t in 0..1000 {
+            log.push(entry(AuditKind::Fired, t));
+        }
+        assert_eq!((log.len(), log.entries.capacity()), (100, reserved));
+        // A cap that cannot be reserved is still a cap.
+        let mut huge = AuditLog::with_cap(usize::MAX);
+        huge.push(entry(AuditKind::Fired, 0));
+        assert_eq!((huge.len(), huge.cap()), (1, Some(usize::MAX)));
     }
 
     #[test]

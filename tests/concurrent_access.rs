@@ -8,7 +8,7 @@ use policy::PolicyGraph;
 use rbac::{ObjId, OpId};
 use snoop::{Dur, Ts};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 fn xyz_shared() -> SharedEngine {
@@ -221,4 +221,147 @@ fn lockdown_disables_the_fast_path() {
     assert!(engine.check_access(s, create, po).unwrap());
     let snap = engine.snapshot().unwrap();
     assert!(snap.has_fast_path(), "fast path re-armed after recovery");
+}
+
+/// A snapshot shares the session table with the live engine instead of
+/// copying it. A reader that keeps one `Arc<AuthSnapshot>` while other
+/// threads apply 1 000 writes to the very sessions it covers — role
+/// drops and re-adds, session deletes and creates, all within one chunk
+/// of the table — must get the answers of the snapshot's own epoch every
+/// time it asks, during the writes and after them.
+#[test]
+fn held_snapshot_answers_are_frozen_across_concurrent_writes() {
+    const USERS: usize = 8;
+    const WRITERS: usize = 2;
+    const WRITES_EACH: usize = 500;
+
+    let mut g = PolicyGraph::new("frozen");
+    g.role("worker");
+    g.role("aux");
+    g.permission("use_tool", "use", "tool");
+    g.permission("read_log", "read", "log");
+    g.grant("use_tool", "worker");
+    g.grant("read_log", "aux");
+    for i in 0..USERS {
+        let name = format!("u{i}");
+        g.user(&name);
+        g.assign(&name, "worker");
+        g.assign(&name, "aux");
+    }
+    let engine = SharedEngine::new(Engine::from_policy(&g, Ts::ZERO).unwrap());
+    let worker = engine.role_id("worker").unwrap();
+    let aux = engine.role_id("aux").unwrap();
+    let users: Vec<_> = (0..USERS)
+        .map(|i| engine.user_id(&format!("u{i}")).unwrap())
+        .collect();
+    // Even users start with `worker` active, odd users with `aux`.
+    let sessions: Vec<_> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| {
+            let role = if i % 2 == 0 { worker } else { aux };
+            engine.create_session(u, &[role]).unwrap()
+        })
+        .collect();
+    let perms = engine.with(|e| {
+        let sys = e.system();
+        [("use", "tool"), ("read", "log")]
+            .map(|(op, obj)| (sys.op_by_name(op).unwrap(), sys.obj_by_name(obj).unwrap()))
+    });
+
+    let snap = engine.snapshot().expect("published");
+    assert!(snap.has_fast_path());
+    // Sessions that exist now, and ids the writers will create later.
+    let questions: Vec<_> = (0..(USERS + WRITERS * WRITES_EACH) as u32)
+        .flat_map(|s| perms.map(|(op, obj)| (rbac::SessionId(s), op, obj)))
+        .collect();
+    let ask = |snap: &owte_core::AuthSnapshot| -> Vec<bool> {
+        questions
+            .iter()
+            .map(|&(s, op, obj)| snap.grants(s, op, obj, None))
+            .collect()
+    };
+    let frozen = ask(&snap);
+    assert_eq!(
+        frozen.iter().filter(|&&g| g).count(),
+        USERS,
+        "one grant per open session, none for ids not handed out yet"
+    );
+
+    // The reader has its answers before the first write is applied, and
+    // keeps asking until the last one has been.
+    let start = Barrier::new(WRITERS + 1);
+    let done = AtomicBool::new(false);
+    let asked = thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (engine, start, users, sessions) = (&engine, &start, &users, &sessions);
+                scope.spawn(move || {
+                    start.wait();
+                    // Each writer owns every WRITERS-th user.
+                    let mine: Vec<usize> = (w..USERS).step_by(WRITERS).collect();
+                    let mut current: Vec<_> = mine.iter().map(|&i| sessions[i]).collect();
+                    for k in 0..WRITES_EACH {
+                        let slot = k % mine.len();
+                        let (u, s) = (users[mine[slot]], current[slot]);
+                        match k % 4 {
+                            0 => {
+                                let _ = engine.drop_active_role(u, s, worker);
+                                let _ = engine.add_active_role(u, s, aux);
+                            }
+                            1 => {
+                                let _ = engine.drop_active_role(u, s, aux);
+                            }
+                            2 => {
+                                let _ = engine.add_active_role(u, s, worker);
+                            }
+                            _ => {
+                                engine.delete_session(u, s).unwrap();
+                                current[slot] = engine.create_session(u, &[worker, aux]).unwrap();
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let reader = scope.spawn(|| {
+            start.wait();
+            let mut asked = 0usize;
+            while !done.load(Ordering::Acquire) {
+                // (Not `assert_eq!`: it would print both 2 016-entry lists.)
+                let leak = ask(&snap)
+                    .iter()
+                    .zip(&frozen)
+                    .position(|(now, then)| now != then);
+                assert_eq!(leak, None, "a later write leaked into a held snapshot");
+                asked += 1;
+            }
+            asked
+        });
+        for w in writers {
+            w.join().expect("writer thread panicked");
+        }
+        done.store(true, Ordering::Release);
+        reader.join().expect("reader thread panicked")
+    });
+    assert!(asked > 0);
+
+    // After all the writes: the held snapshot is unchanged, the engine is
+    // not, and a fresh snapshot follows the engine.
+    assert!(ask(&snap) == frozen, "the held snapshot changed");
+    let fresh = engine.snapshot().expect("published");
+    assert!(fresh.epoch() > snap.epoch());
+    assert!(
+        ask(&fresh) != frozen,
+        "the writes did change what is granted"
+    );
+    engine.with(|e| {
+        for &(s, op, obj) in &questions {
+            assert_eq!(
+                fresh.grants(s, op, obj, None),
+                e.system().check_access(s, op, obj).unwrap_or(false),
+                "fresh snapshot disagrees with the monitor on {s}"
+            );
+        }
+    });
 }

@@ -544,3 +544,45 @@ fn snapshotting_bounds_recovery_work() {
     );
     assert_eq!(full.snapshot_ops(), 0, "genesis snapshot only");
 }
+
+/// A store written by the commit before the session table became a
+/// copy-on-write structure (`tests/fixtures/wal_pr12`: genesis, three
+/// sessions of which one closed, a snapshot, then three more operations)
+/// opens: the snapshot's flat `sessions` sequence restores into the
+/// chunked table and the journal tail replays over it.
+#[test]
+fn store_written_before_the_session_table_opens() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_pr12");
+    // Work on a copy: opening a store may repair or rotate its files.
+    let dir = std::env::temp_dir().join(format!("owte-wal-pr12-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+
+    let mut d = DurableEngine::open(FileStorage::open(&dir).unwrap(), DurableConfig::default())
+        .expect("a store written by the previous commit opens");
+    assert_eq!((d.op_count(), d.snapshot_ops()), (7, 4));
+    assert_eq!(d.recovery_stats(), owte_core::RecoveryStats::default());
+    let (clerk, auditor) = (d.role_id("clerk").unwrap(), d.role_id("auditor").unwrap());
+    {
+        let sys = d.engine().system();
+        let live: Vec<SessionId> = sys.all_sessions().collect();
+        assert_eq!(live, [SessionId(0), SessionId(2), SessionId(3)]);
+        // From the snapshot, then changed by the replayed tail.
+        assert!(sys.session_roles(SessionId(0)).unwrap().is_empty());
+        assert_eq!(
+            sys.session_roles(SessionId(2)).unwrap(),
+            [clerk, auditor].into()
+        );
+        assert_eq!(sys.session_roles(SessionId(3)).unwrap(), [clerk].into());
+    }
+    // Session ids carry on from the restored table.
+    let ann = d.user_id("ann").unwrap();
+    assert_eq!(d.create_session(ann, &[clerk]).unwrap(), SessionId(4));
+
+    drop(d);
+    std::fs::remove_dir_all(&dir).ok();
+}
