@@ -625,7 +625,7 @@ impl Engine {
             Some(id) => EventRef::Id(id),
             None => EventRef::Name(events::ACCESS_DENIED),
         };
-        let result = self.dispatch_ref(ev, Params::new().with("time", now));
+        let result = self.dispatch_ref(ev, Params::with_capacity(1).with("time", now));
         self.in_denial_cascade = false;
         result.map(|_| ())
     }
@@ -781,7 +781,7 @@ impl Engine {
             |c| &c.add_active,
             events::add_active,
             role,
-            Params::new()
+            Params::with_capacity(3)
                 .with("user", i64::from(user.0))
                 .with("session", i64::from(session.0))
                 .with("role", i64::from(role.0)),
@@ -808,7 +808,7 @@ impl Engine {
             |c| &c.drop_active,
             events::drop_active,
             role,
-            Params::new()
+            Params::with_capacity(3)
                 .with("user", i64::from(user.0))
                 .with("session", i64::from(session.0))
                 .with("role", i64::from(role.0)),
@@ -852,7 +852,7 @@ impl Engine {
         let report = self.dispatch_admin_event(
             |c| c.check_access,
             events::CHECK_ACCESS,
-            Params::new()
+            Params::with_capacity(4)
                 .with("session", i64::from(session.0))
                 .with("op", i64::from(op.0))
                 .with("obj", i64::from(obj.0))
@@ -969,12 +969,12 @@ impl Engine {
     /// by name — which means the pool was mutated between listing and
     /// lookup, e.g. by a concurrent policy regeneration.
     pub fn dump_rules(&self) -> Result<String, EngineError> {
-        let mut names: Vec<String> = self.inst.pool.iter().map(|(_, r)| r.name.clone()).collect();
+        let mut names: Vec<&str> = self.inst.pool.iter().map(|(_, r)| &*r.name).collect();
         names.sort_unstable();
         let mut out = String::new();
         for n in names {
             let text = self
-                .rule_text(&n)
+                .rule_text(n)
                 .ok_or_else(|| EngineError::UnknownName(format!("rule {n}")))?;
             out.push_str(&text);
             out.push_str("\n\n");

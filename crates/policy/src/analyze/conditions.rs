@@ -199,7 +199,7 @@ pub(crate) fn check(detector: &Detector, pool: &RulePool, diagnostics: &mut Vec<
                     severity: Severity::Warning,
                     code: DiagCode::UnsatisfiableWhen,
                     message,
-                    rules: vec![rule.name.clone()],
+                    rules: vec![rule.name.to_string()],
                     roles: vec![],
                     events: vec![],
                     hint,
@@ -213,7 +213,7 @@ pub(crate) fn check(detector: &Detector, pool: &RulePool, diagnostics: &mut Vec<
                         "rule `{}` has a tautological When-clause: its Else actions are dead",
                         rule.name
                     ),
-                    rules: vec![rule.name.clone()],
+                    rules: vec![rule.name.to_string()],
                     roles: vec![],
                     events: vec![],
                     hint: "remove the Else actions or strengthen the condition".into(),
@@ -254,7 +254,7 @@ pub(crate) fn check(detector: &Detector, pool: &RulePool, diagnostics: &mut Vec<
                              `{}` could fire, `{}` denies first and stops the dispatch",
                             low.name, high.name, low.name, high.name
                         ),
-                        rules: vec![low.name.clone(), high.name.clone()],
+                        rules: vec![low.name.to_string(), high.name.to_string()],
                         roles: vec![],
                         events: vec![],
                         hint: "lower the shadowing rule's priority, or make its condition \

@@ -127,7 +127,7 @@ pub(crate) fn check(
             if detector.lookup(name).is_some() {
                 continue;
             }
-            if !reported.insert((rule.name.clone(), name.to_string())) {
+            if !reported.insert((rule.name.to_string(), name.to_string())) {
                 continue;
             }
             diagnostics.push(Diagnostic {
@@ -138,7 +138,7 @@ pub(crate) fn check(
                      detector",
                     rule.name
                 ),
-                rules: vec![rule.name.clone()],
+                rules: vec![rule.name.to_string()],
                 roles: vec![],
                 events: vec![name.to_string()],
                 hint: "register the event (or fix the name): at runtime this action/check \

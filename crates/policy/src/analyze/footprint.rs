@@ -22,7 +22,7 @@ pub(crate) fn direct_footprints(pool: &RulePool, names: &[String]) -> Vec<Footpr
     let mut out = vec![Footprint::empty(); names.len()];
     for (_, rule) in pool.iter() {
         let i = names
-            .binary_search(&rule.name)
+            .binary_search_by(|n| n.as_str().cmp(&rule.name))
             .expect("graph names cover the pool");
         let mut fp = cond_footprint(&rule.when, &mut static_target);
         for action in rule.then.iter().chain(&rule.otherwise) {

@@ -248,7 +248,7 @@ pub(crate) fn compute(
         for (_, rule) in pool.iter() {
             let i = g
                 .names
-                .binary_search(&rule.name)
+                .binary_search_by(|n| n.as_str().cmp(&rule.name))
                 .expect("graph names cover the pool");
             *by_event.entry(rule.event).or_insert(true) &= toggle_free(&effective[i]);
         }

@@ -29,7 +29,7 @@ pub(crate) struct RuleGraph {
 /// actions can re-enable them, so a proof that ignored them would not
 /// survive an `EnableRule` / `EnableRuleClass` action.
 pub(crate) fn build_rule_graph(detector: &Detector, pool: &RulePool) -> RuleGraph {
-    let mut names: Vec<String> = pool.iter().map(|(_, r)| r.name.clone()).collect();
+    let mut names: Vec<String> = pool.iter().map(|(_, r)| r.name.to_string()).collect();
     names.sort_unstable();
     let index: HashMap<&str, usize> = names
         .iter()
@@ -39,7 +39,7 @@ pub(crate) fn build_rule_graph(detector: &Detector, pool: &RulePool) -> RuleGrap
 
     let mut edges: Vec<Vec<(usize, bool)>> = vec![Vec::new(); names.len()];
     for (_, rule) in pool.iter() {
-        let from = index[rule.name.as_str()];
+        let from = index[&*rule.name];
         for action in rule.then.iter().chain(&rule.otherwise) {
             let ActionSpec::RaiseEvent { event, .. } = action else {
                 continue;
@@ -53,7 +53,7 @@ pub(crate) fn build_rule_graph(detector: &Detector, pool: &RulePool) -> RuleGrap
                 let sync = sync_reach.contains(&anc);
                 for &rid in pool.triggered_by(anc) {
                     let target = pool.get(rid).expect("indexed rule exists");
-                    let to = index[target.name.as_str()];
+                    let to = index[&*target.name];
                     let edge = &mut edges[from];
                     // Keep the strongest label per (from, to) pair.
                     match edge.iter_mut().find(|(t, _)| *t == to) {

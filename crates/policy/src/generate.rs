@@ -22,7 +22,7 @@ use sentinel::{
     attach_rule, ActionSpec, Check, CondExpr, Granularity, ParamRef, Rule, RuleClass, RulePool,
 };
 use serde::{Deserialize, Serialize};
-use snoop::{CalendarExpr, Detector, DetectorError, EventExpr, Ts};
+use snoop::{CalendarExpr, Detector, DetectorError, EventExpr, Key, Ts};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -401,7 +401,7 @@ fn p_role() -> ParamRef {
     ParamRef::param("role")
 }
 /// The three params every role-scoped event carries along cascades.
-fn usr_params() -> Vec<(String, ParamRef)> {
+fn usr_params() -> Vec<(Key, ParamRef)> {
     vec![
         ("user".into(), p_user()),
         ("session".into(), p_session()),
@@ -434,7 +434,7 @@ pub(crate) fn generate_role(
     let ev_disable = detector.primitive(&events::disable_role(role));
     detector.primitive(&events::role_enabled(role));
     detector.primitive(&events::role_disabled(role));
-    let status_params = |rid: i64| vec![("role".to_string(), ParamRef::Int(rid))];
+    let status_params = |rid: i64| vec![(Key::Static("role"), ParamRef::Int(rid))];
 
     // ---- AAR: the activation rule, variant per flags (paper §4.3.1) ------
     let mut when = vec![
@@ -1025,7 +1025,7 @@ fn generate_global(
         let action = ActionSpec::RaiseEvent {
             event: action_event,
             params: vec![(
-                "role".to_string(),
+                "role".into(),
                 ParamRef::Int(i64::from(binding.role(&t.action_role).0)),
             )],
         };

@@ -199,7 +199,7 @@ fn rules_of_role(inst: &Instantiated, role: &str) -> BTreeSet<String> {
                 .is_some_and(|(_, tail)| tail == role)
                 || r.name.contains(&format!("_{role}_"))
         })
-        .map(|(_, r)| r.name.clone())
+        .map(|(_, r)| r.name.to_string())
         .collect()
 }
 

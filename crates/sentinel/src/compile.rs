@@ -29,9 +29,10 @@ use crate::log::{AuditEntry, AuditKind};
 use crate::pool::RulePool;
 use crate::rule::{RuleClass, RuleId};
 use crate::state::{ActionOutcome, AuthState};
-use snoop::{Detection, Detector, DetectorError, Dur, EventId, Occurrence, Params, Ts, Value};
+use snoop::{Detection, Detector, DetectorError, Dur, EventId, Key, Occurrence, Params, Ts, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a pool could not be lowered. Compile failure is non-fatal: the
 /// caller keeps the interpreter.
@@ -371,7 +372,7 @@ pub enum CAction {
         /// The event name (for error messages).
         name: String,
         /// `(target param name, source)` pairs.
-        params: Vec<(String, CRef)>,
+        params: Vec<(Key, CRef)>,
     },
     /// Cancel pending PLUS timers, pre-resolved.
     CancelPlus {
@@ -493,8 +494,8 @@ impl fmt::Display for CAction {
 pub struct CompiledRule {
     /// The pool slot this rule was lowered from (live enablement lookup).
     pub pool_id: RuleId,
-    /// Rule name (audit entries).
-    pub name: String,
+    /// Rule name, shared with the pool's rule (audit entries).
+    pub name: Arc<str>,
     /// Triggering event.
     pub event: EventId,
     /// Condition bytecode.
@@ -554,7 +555,7 @@ pub fn compile(
         );
         rules.push(CompiledRule {
             pool_id: *id,
-            name: rule.name.clone(),
+            name: Arc::clone(&rule.name),
             event: rule.event,
             when: when.into_boxed_slice(),
             checks: checks.into_boxed_slice(),
@@ -976,7 +977,7 @@ impl Executor {
         ts: Ts,
     ) -> Result<ExecReport, DetectorError> {
         let mut report = ExecReport::default();
-        while let Some(at) = rt.detector.next_timer_at().filter(|&at| at <= ts) {
+        while let Some(at) = rt.detector.next_timer_due().filter(|&at| at <= ts) {
             let detections = rt.detector.advance_to(at)?;
             report.absorb(self.process_compiled(rt, plan, detections, 0));
         }
@@ -1050,7 +1051,7 @@ impl Executor {
                 rt.log.push(AuditEntry {
                     time: rt.detector.now(),
                     kind: AuditKind::EngineError,
-                    rule: Some(crule.name.clone()),
+                    rule: Some(Arc::clone(&crule.name)),
                     event: Some(occ.event),
                     message: m.clone(),
                 });
@@ -1068,7 +1069,7 @@ impl Executor {
         rt.log.push(AuditEntry {
             time: rt.detector.now(),
             kind,
-            rule: Some(crule.name.clone()),
+            rule: Some(Arc::clone(&crule.name)),
             event: Some(occ.event),
             message: String::new(),
         });
@@ -1098,7 +1099,7 @@ impl Executor {
             rt.log.push(AuditEntry {
                 time: now,
                 kind,
-                rule: Some(crule.name.clone()),
+                rule: Some(Arc::clone(&crule.name)),
                 event: Some(occ.event),
                 message,
             });
@@ -1157,10 +1158,10 @@ impl Executor {
                     report.errors.push(m);
                     return report;
                 }
-                let mut p = Params::new();
+                let mut p = Params::with_capacity(params.len());
                 for (name, src) in params {
                     match src.resolve(occ) {
-                        Some(v) => p.set(name.clone(), v),
+                        Some(v) => p.set(name, v),
                         None => {
                             let m = format!(
                                 "rule {}: parameter {src} missing for raised event {event}",
@@ -1300,7 +1301,7 @@ impl CompiledPool {
             }
             let names: Vec<&str> = table
                 .iter()
-                .map(|&ci| self.rules[ci as usize].name.as_str())
+                .map(|&ci| &*self.rules[ci as usize].name)
                 .collect();
             let _ = writeln!(
                 out,
@@ -1454,7 +1455,7 @@ mod tests {
         let table = &plan.dispatch[e.0 as usize];
         let names: Vec<&str> = table
             .iter()
-            .map(|&ci| plan.rules[ci as usize].name.as_str())
+            .map(|&ci| &*plan.rules[ci as usize].name)
             .collect();
         assert_eq!(names, vec!["high", "low"]);
         assert!(plan.dump(&detector).contains("on e"));

@@ -63,13 +63,24 @@ impl ExecReport {
     pub(crate) fn absorb(&mut self, other: ExecReport) {
         self.fired += other.fired;
         self.else_taken += other.else_taken;
-        self.denials.extend(other.denials);
+        append(&mut self.denials, other.denials);
         self.allows += other.allows;
-        self.alerts.extend(other.alerts);
-        self.errors.extend(other.errors);
+        append(&mut self.alerts, other.alerts);
+        append(&mut self.errors, other.errors);
         self.mutations += other.mutations;
         self.max_depth = self.max_depth.max(other.max_depth);
-        self.touches.extend(other.touches);
+        append(&mut self.touches, other.touches);
+    }
+}
+
+/// `into.extend(from)` that hands the buffer over when `into` is empty: a
+/// denial climbs from its action through its rule to the dispatch, and
+/// each level used to copy it into a vector of its own.
+fn append<T>(into: &mut Vec<T>, from: Vec<T>) {
+    if into.is_empty() {
+        *into = from;
+    } else {
+        into.extend(from);
     }
 }
 
@@ -183,7 +194,7 @@ impl Executor {
     /// see the correct logical time), before the clock moves on.
     pub fn advance_to(&self, rt: &mut Runtime<'_>, ts: Ts) -> Result<ExecReport, DetectorError> {
         let mut report = ExecReport::default();
-        while let Some(at) = rt.detector.next_timer_at().filter(|&at| at <= ts) {
+        while let Some(at) = rt.detector.next_timer_due().filter(|&at| at <= ts) {
             let detections = rt.detector.advance_to(at)?;
             report.absorb(self.process(rt, detections, 0));
         }
@@ -232,8 +243,11 @@ impl Executor {
                 }
                 continue;
             }
-            let rule_ids = rt.pool.triggered_by(occ.event).to_vec();
-            for id in rule_ids {
+            // By position: rule actions toggle enablement, never the
+            // per-event index, so no copy of the id list is needed.
+            let mut next = 0;
+            while let Some(&id) = rt.pool.triggered_by(occ.event).get(next) {
+                next += 1;
                 let Some(rule) = rt.pool.get_arc(id) else {
                     continue;
                 };
@@ -279,7 +293,7 @@ impl Executor {
                 rt.log.push(AuditEntry {
                     time: rt.detector.now(),
                     kind: AuditKind::EngineError,
-                    rule: Some(rule.name.clone()),
+                    rule: Some(Arc::clone(&rule.name)),
                     event: Some(occ.event),
                     message: m.clone(),
                 });
@@ -290,7 +304,7 @@ impl Executor {
         report
             .touches
             .extend(traced.into_iter().map(|region| RuleTouch {
-                rule: rule.name.clone(),
+                rule: rule.name.to_string(),
                 access: Access::Read,
                 region,
             }));
@@ -304,7 +318,7 @@ impl Executor {
         rt.log.push(AuditEntry {
             time: rt.detector.now(),
             kind,
-            rule: Some(rule.name.clone()),
+            rule: Some(Arc::clone(&rule.name)),
             event: Some(occ.event),
             message: String::new(),
         });
@@ -339,14 +353,14 @@ impl Executor {
             report
                 .touches
                 .extend(fp.reads.into_iter().map(|region| RuleTouch {
-                    rule: name.clone(),
+                    rule: name.to_string(),
                     access: Access::Read,
                     region,
                 }));
             report
                 .touches
                 .extend(fp.writes.into_iter().map(|region| RuleTouch {
-                    rule: name.clone(),
+                    rule: name.to_string(),
                     access: Access::Write,
                     region,
                 }));
@@ -356,7 +370,7 @@ impl Executor {
             rt.log.push(AuditEntry {
                 time: now,
                 kind,
-                rule: Some(rule.name.clone()),
+                rule: Some(Arc::clone(&rule.name)),
                 event: Some(occ.event),
                 message,
             });
@@ -399,10 +413,10 @@ impl Executor {
                     report.errors.push(m);
                     return report;
                 }
-                let mut p = Params::new();
+                let mut p = Params::with_capacity(params.len());
                 for (name, src) in params {
                     match src.resolve(occ) {
-                        Some(v) => p.set(name.clone(), v),
+                        Some(v) => p.set(name, v),
                         None => {
                             let m = format!(
                                 "rule {}: parameter {src} missing for raised event {event}",
@@ -535,7 +549,7 @@ impl Executor {
                 rt.log.push(AuditEntry {
                     time: rt.detector.now(),
                     kind: AuditKind::ActionRejected,
-                    rule: Some(rule.name.clone()),
+                    rule: Some(Arc::clone(&rule.name)),
                     event: Some(occ.event),
                     message: m,
                 });

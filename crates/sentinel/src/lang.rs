@@ -9,7 +9,7 @@
 //! [`crate::executor`] against a [`crate::state::AuthState`].
 
 use serde::{Deserialize, Serialize};
-use snoop::{Occurrence, Value};
+use snoop::{Key, Occurrence, Value};
 use std::fmt;
 
 /// A reference to a value: either a parameter of the triggering occurrence
@@ -43,7 +43,11 @@ impl ParamRef {
 
     /// Resolve to an integer (entity ids).
     pub fn resolve_int(&self, occ: &Occurrence) -> Option<i64> {
-        self.resolve(occ).and_then(|v| v.as_int())
+        match self {
+            ParamRef::Param(name) => occ.params.get_int(name),
+            ParamRef::Int(i) => Some(*i),
+            ParamRef::Str(_) => None,
+        }
     }
 }
 
@@ -374,8 +378,10 @@ pub enum ActionSpec {
     RaiseEvent {
         /// Primitive event name.
         event: String,
-        /// `(target param name, source)` pairs to pass along.
-        params: Vec<(String, ParamRef)>,
+        /// `(target param name, source)` pairs to pass along. The names
+        /// are [`Key`]s: every raise hands them to the new occurrence by
+        /// reference count.
+        params: Vec<(Key, ParamRef)>,
     },
     /// Cancel pending PLUS timers of a named event whose base occurrence
     /// matches `key_param == key value from this occurrence` (retract a

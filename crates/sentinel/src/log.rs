@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use snoop::{EventId, Ts};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,8 +54,9 @@ pub struct AuditEntry {
     pub time: Ts,
     /// Kind of record.
     pub kind: AuditKind,
-    /// Rule that produced it, if any.
-    pub rule: Option<String>,
+    /// Rule that produced it, if any: the rule's own name, shared.
+    #[serde(default, with = "crate::rule::shared_name::opt")]
+    pub rule: Option<Arc<str>>,
     /// Triggering event.
     pub event: Option<EventId>,
     /// Free-form message (error text, alert text, …).

@@ -58,7 +58,7 @@ impl RulePool {
     /// Add a rule; names must be unique (replaces any same-named rule, so
     /// regeneration can overwrite in place).
     pub fn add(&mut self, rule: Rule) -> RuleId {
-        if let Some(&existing) = self.by_name.get(&rule.name) {
+        if let Some(&existing) = self.by_name.get(&*rule.name) {
             let old_event = self.rules[existing.0 as usize].event;
             if old_event != rule.event {
                 if let Some(v) = self.by_event.get_mut(&old_event) {
@@ -71,7 +71,7 @@ impl RulePool {
             return existing;
         }
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule count fits u32"));
-        self.by_name.insert(rule.name.clone(), id);
+        self.by_name.insert(rule.name.to_string(), id);
         self.by_event.entry(rule.event).or_default().push(id);
         self.rules.push(Arc::new(rule));
         self.resort(self.rules[id.0 as usize].event);

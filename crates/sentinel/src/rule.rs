@@ -10,6 +10,35 @@ use crate::lang::{ActionSpec, CondExpr};
 use serde::{Deserialize, Serialize};
 use snoop::EventId;
 use std::fmt;
+use std::sync::Arc;
+
+/// Serde for a shared name (`Arc<str>`) as the plain string a `String`
+/// field wrote; [`shared_name::opt`] does the same for an optional one.
+pub(crate) mod shared_name {
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use std::sync::Arc;
+
+    pub fn serialize<S: Serializer>(name: &Arc<str>, s: S) -> Result<S::Ok, S::Error> {
+        str::serialize(name, s)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Arc<str>, D::Error> {
+        String::deserialize(d).map(Arc::from)
+    }
+
+    pub mod opt {
+        use serde::{Deserialize, Deserializer, Serialize, Serializer};
+        use std::sync::Arc;
+
+        pub fn serialize<S: Serializer>(name: &Option<Arc<str>>, s: S) -> Result<S::Ok, S::Error> {
+            name.as_deref().serialize(s)
+        }
+
+        pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Option<Arc<str>>, D::Error> {
+            Ok(Option::<String>::deserialize(d)?.map(Arc::from))
+        }
+    }
+}
 
 /// Index of a rule in a [`crate::pool::RulePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -73,8 +102,11 @@ impl fmt::Display for Granularity {
 /// An active authorization rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rule {
-    /// Rule name (`R_name`), unique within a pool.
-    pub name: String,
+    /// Rule name (`R_name`), unique within a pool. One allocation per rule,
+    /// shared with the compiled plan and with every audit entry the rule
+    /// writes, which therefore costs a reference count, not a copy.
+    #[serde(with = "shared_name")]
+    pub name: Arc<str>,
     /// "O": the (possibly composite) event that triggers the rule.
     pub event: EventId,
     /// "W": conditions checked when the event occurs.
@@ -95,7 +127,7 @@ pub struct Rule {
 
 impl Rule {
     /// A new enabled activity-control, localized rule with default priority.
-    pub fn new(name: impl Into<String>, event: EventId, when: CondExpr) -> Rule {
+    pub fn new(name: impl Into<Arc<str>>, event: EventId, when: CondExpr) -> Rule {
         Rule {
             name: name.into(),
             event,

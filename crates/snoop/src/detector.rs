@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from detector operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +71,11 @@ struct Node {
     watched: bool,
     /// Human-readable label (primitive name or operator description).
     label: String,
+    /// `[id]`, the source list of every occurrence of a leaf (primitive
+    /// or calendar) node: built by the first one and shared by reference
+    /// count from then on.
+    #[serde(skip)]
+    own_sources: Option<Arc<Vec<EventId>>>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -200,6 +206,7 @@ impl Detector {
             parents: Vec::new(),
             watched: false,
             label: name.to_string(),
+            own_sources: None,
         });
         self.by_name.insert(name.to_string(), id);
         id
@@ -414,6 +421,7 @@ impl Detector {
             parents: Vec::new(),
             watched: false,
             label: format!("[{}]", key_label(&key)),
+            own_sources: None,
         });
         self.interned.insert(key, id);
         self.schedule_calendar(id);
@@ -450,6 +458,7 @@ impl Detector {
             parents: Vec::new(),
             watched: false,
             label,
+            own_sources: None,
         });
         for &(child, slot) in children {
             self.nodes[child.0 as usize].parents.push((id, slot));
@@ -478,14 +487,16 @@ impl Detector {
     pub fn raise(&mut self, id: EventId, params: Params) -> Result<Vec<Detection>, DetectorError> {
         let node = self
             .nodes
-            .get(id.0 as usize)
-            .ok_or(DetectorError::UnknownEvent(id.to_string()))?;
+            .get_mut(id.0 as usize)
+            .ok_or_else(|| DetectorError::UnknownEvent(id.to_string()))?;
         if !matches!(node.state, NodeState::Primitive { .. }) {
             return Err(DetectorError::NotPrimitive(id));
         }
+        let occ = Occurrence::leaf(id, self.now, params, &mut node.own_sources);
         self.raised += 1;
-        let occ = Occurrence::primitive(id, self.now, params);
-        Ok(self.propagate(occ))
+        let mut detections = Vec::new();
+        self.propagate(occ, &mut detections);
+        Ok(detections)
     }
 
     /// Raise a primitive event by name.
@@ -510,19 +521,16 @@ impl Detector {
             });
         }
         let mut detections = Vec::new();
+        let mut out = NodeOutput::default();
         while let Some(&Reverse((at, key))) = self.timer_queue.peek() {
             if at > ts {
                 break;
             }
             self.timer_queue.pop();
-            let (gen, idx) = unpack_timer_key(key);
-            let live = self
-                .timers
-                .get(idx as usize)
-                .is_some_and(|s| s.gen == gen && s.timer.is_some());
-            if !live {
+            if !self.timer_key_live(key) {
                 continue; // stale entry: the timer was cancelled
             }
+            let (_, idx) = unpack_timer_key(key);
             let Timer { node: node_id, req } = self.free_timer_slot(idx);
             self.now = at;
             // Calendar nodes may reschedule; clear their flag first.
@@ -530,10 +538,9 @@ impl Detector {
             {
                 *scheduled = false;
             }
-            let mut out = NodeOutput::default();
-            self.nodes[node_id.0 as usize]
-                .state
-                .on_timer(node_id, at, &req, &mut out);
+            let node = &mut self.nodes[node_id.0 as usize];
+            node.state
+                .on_timer(node_id, at, &req, &mut node.own_sources, &mut out);
             if let NodeState::Calendar { scheduled, .. } = &mut self.nodes[node_id.0 as usize].state
             {
                 if out
@@ -548,7 +555,7 @@ impl Detector {
                 self.push_timer(node_id, t);
             }
             for occ in out.occurrences.drain(..) {
-                detections.extend(self.propagate(occ));
+                self.propagate(occ, &mut detections);
             }
         }
         self.now = ts;
@@ -563,12 +570,35 @@ impl Detector {
     /// When the earliest pending timer fires, if any. Lets callers advance
     /// in steps and run rules *at* each firing instant rather than after a
     /// long advance.
+    ///
+    /// The head of the queue answers unless it is a cancelled timer's
+    /// entry, which `&self` cannot discard; only then is the queue
+    /// searched. A caller that holds the detector mutably should use
+    /// [`Detector::next_timer_due`].
     pub fn next_timer_at(&self) -> Option<Ts> {
-        self.timer_queue
-            .iter()
-            .filter(|Reverse((_, key))| self.timer_key_live(*key))
-            .map(|Reverse((at, _))| *at)
-            .min()
+        match self.timer_queue.peek() {
+            None => None,
+            Some(Reverse((at, key))) if self.timer_key_live(*key) => Some(*at),
+            Some(_) => self
+                .timer_queue
+                .iter()
+                .filter(|Reverse((_, key))| self.timer_key_live(*key))
+                .map(|Reverse((at, _))| *at)
+                .min(),
+        }
+    }
+
+    /// [`Detector::next_timer_at`] in amortized constant time: discards
+    /// the cancelled timers' entries at the head of the queue (each is
+    /// popped once, here or by [`Detector::advance_to`]) and reads the head.
+    pub fn next_timer_due(&mut self) -> Option<Ts> {
+        while let Some(&Reverse((at, key))) = self.timer_queue.peek() {
+            if self.timer_key_live(key) {
+                return Some(at);
+            }
+            self.timer_queue.pop();
+        }
+        None
     }
 
     /// Does `key` still refer to a live (scheduled, uncancelled) timer?
@@ -696,22 +726,33 @@ impl Detector {
             .push(Reverse((at, pack_timer_key(slot.gen, idx))));
     }
 
-    /// Breadth-first propagation of an occurrence up the event graph.
-    fn propagate(&mut self, root: Occurrence) -> Vec<Detection> {
-        let mut detections = Vec::new();
+    /// Breadth-first propagation of an occurrence up the event graph,
+    /// appending what watched nodes detect to `detections`.
+    ///
+    /// Most raises end at the primitive itself: a watched node nothing
+    /// subscribes to. That case moves the occurrence into its detection
+    /// and touches neither the queue nor a node output; an occurrence is
+    /// only copied when it is both delivered and passed on to a parent.
+    fn propagate(&mut self, root: Occurrence, detections: &mut Vec<Detection>) {
         let mut queue: VecDeque<Occurrence> = VecDeque::new();
-        queue.push_back(root);
-        while let Some(occ) = queue.pop_front() {
-            let node = &self.nodes[occ.event.0 as usize];
-            if node.watched {
+        let mut out = NodeOutput::default();
+        let mut next = Some(root);
+        while let Some(occ) = next.take().or_else(|| queue.pop_front()) {
+            let id = occ.event.0 as usize;
+            let fanout = self.nodes[id].parents.len();
+            if self.nodes[id].watched {
                 self.detected += 1;
+                if fanout == 0 {
+                    detections.push(Detection { occurrence: occ });
+                    continue;
+                }
                 detections.push(Detection {
                     occurrence: occ.clone(),
                 });
             }
-            let parents = node.parents.clone();
-            for (parent, slot) in parents {
-                let mut out = NodeOutput::default();
+            // By index: handling a child never changes a parent list.
+            for i in 0..fanout {
+                let (parent, slot) = self.nodes[id].parents[i];
                 let pnode = &mut self.nodes[parent.0 as usize];
                 let ctx = pnode.context;
                 let is_periodic_end =
@@ -726,12 +767,9 @@ impl Detector {
                 for t in out.timers.drain(..) {
                     self.push_timer(parent, t);
                 }
-                for o in out.occurrences.drain(..) {
-                    queue.push_back(o);
-                }
+                queue.extend(out.occurrences.drain(..));
             }
         }
-        detections
     }
 }
 
@@ -1022,6 +1060,52 @@ mod tests {
         let dets = d.advance(Dur::from_secs(40)).unwrap();
         assert_eq!(dets.len(), 1);
         assert_eq!(dets[0].event(), long);
+    }
+
+    #[test]
+    fn next_timer_skips_cancelled_heads() {
+        // Three deadlines (10, 20, 30 s); cancelling the two earliest
+        // leaves their entries at the head of the queue.
+        let mut d = det();
+        let mut roots = Vec::new();
+        for (name, secs) in [("a", 10), ("b", 20), ("c", 30)] {
+            let root = d
+                .define(&E::plus(E::prim(name), Dur::from_secs(secs)))
+                .unwrap();
+            d.watch(root);
+            d.raise_named(name, Params::new()).unwrap();
+            roots.push(root);
+        }
+        assert_eq!(d.next_timer_at(), Some(Ts::from_secs(10)));
+        assert_eq!(d.cancel_timers(roots[0]), 1);
+        assert_eq!(d.cancel_timers(roots[1]), 1);
+        // The shared accessor looks past them without touching the queue…
+        assert_eq!(d.next_timer_at(), Some(Ts::from_secs(30)));
+        assert_eq!(d.timer_queue.len(), 3);
+        // …the exclusive one discards them and leaves a live head.
+        assert_eq!(d.next_timer_due(), Some(Ts::from_secs(30)));
+        assert_eq!(d.timer_queue.len(), 1);
+        assert_eq!(d.next_timer_at(), Some(Ts::from_secs(30)));
+        let dets = d.advance(Dur::from_secs(30)).unwrap();
+        assert_eq!(dets.len(), 1);
+        assert_eq!(dets[0].event(), roots[2]);
+        assert_eq!((d.next_timer_due(), d.next_timer_at()), (None, None));
+    }
+
+    #[test]
+    fn a_primitive_shares_one_source_list_with_all_its_occurrences() {
+        let mut d = det();
+        let e = d.primitive("open");
+        d.watch(e);
+        let first = d.raise(e, Params::new()).unwrap().remove(0).occurrence;
+        let second = d.raise(e, Params::new()).unwrap().remove(0).occurrence;
+        assert_eq!(*first.sources, vec![e]);
+        assert!(Arc::ptr_eq(&first.sources, &second.sources));
+        // The list is derived state: a restored detector builds its own.
+        let mut back: Detector = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
+        let third = back.raise(e, Params::new()).unwrap().remove(0).occurrence;
+        assert_eq!(third.sources, first.sources);
+        assert!(!Arc::ptr_eq(&third.sources, &first.sources));
     }
 
     #[test]

@@ -114,6 +114,96 @@ impl From<Ts> for Value {
     }
 }
 
+/// A parameter name.
+///
+/// The names a request carries are fixed long before the request: the
+/// engine's API and the rule generator use string literals, a policy read
+/// from the DSL or from a stored snapshot has its names in the rule pool.
+/// A key therefore never owns a buffer of its own: it either points at a
+/// literal or shares one allocation with every other copy, and cloning it
+/// costs at most a reference count. Keys compare, print and serialize as
+/// the string they name.
+#[derive(Clone)]
+pub enum Key {
+    /// A string literal.
+    Static(&'static str),
+    /// A name made at run time (DSL text, deserialization), shared.
+    Shared(Arc<str>),
+}
+
+impl Key {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Key::Static(s) => s,
+            Key::Shared(s) => s,
+        }
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(s: &'static str) -> Key {
+        Key::Static(s)
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Key {
+        Key::Shared(s.into())
+    }
+}
+
+impl From<&Key> for Key {
+    fn from(k: &Key) -> Key {
+        k.clone()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Key {}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Serialize for Key {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        self.as_str().serialize(s)
+    }
+}
+
+impl<'de> Deserialize<'de> for Key {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Key, D::Error> {
+        String::deserialize(d).map(Key::from)
+    }
+}
+
 /// Named parameter list of an occurrence (`⟨PA₁ … PAₙ⟩`).
 ///
 /// Composite occurrences merge their constituents' parameters; on a name
@@ -121,7 +211,7 @@ impl From<Ts> for Value {
 /// left-to-right parameter concatenation with the most recent binding
 /// visible.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Params(Vec<(String, Value)>);
+pub struct Params(Vec<(Key, Value)>);
 
 impl Params {
     /// An empty parameter list.
@@ -129,26 +219,33 @@ impl Params {
         Params(Vec::new())
     }
 
+    /// An empty parameter list with room for `n` parameters.
+    pub fn with_capacity(n: usize) -> Params {
+        Params(Vec::with_capacity(n))
+    }
+
     /// Builder: add a parameter.
-    pub fn with(mut self, name: impl Into<String>, value: impl Into<Value>) -> Params {
+    pub fn with(mut self, name: impl Into<Key> + AsRef<str>, value: impl Into<Value>) -> Params {
         self.set(name, value);
         self
     }
 
-    /// Set (or overwrite) a parameter.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        let name = name.into();
+    /// Set (or overwrite) a parameter. The name is compared as it is and
+    /// converted into a [`Key`] only when it opens a new slot, so
+    /// overwriting costs nothing for the name and inserting a `&Key` costs
+    /// a reference count.
+    pub fn set(&mut self, name: impl Into<Key> + AsRef<str>, value: impl Into<Value>) {
         let value = value.into();
-        if let Some(slot) = self.0.iter_mut().find(|(n, _)| *n == name) {
+        if let Some(slot) = self.0.iter_mut().find(|(n, _)| **n == *name.as_ref()) {
             slot.1 = value;
         } else {
-            self.0.push((name, value));
+            self.0.push((name.into(), value));
         }
     }
 
     /// Look up a parameter by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.0.iter().find(|(n, _)| **n == *name).map(|(_, v)| v)
     }
 
     /// Look up an integer parameter.
@@ -184,7 +281,7 @@ impl Params {
     /// Merge `other` into `self`; colliding names take `other`'s value.
     pub fn merge(&mut self, other: &Params) {
         for (n, v) in &other.0 {
-            self.set(n.clone(), v.clone());
+            self.set(n, v.clone());
         }
     }
 
@@ -227,27 +324,61 @@ pub struct Occurrence {
 impl Occurrence {
     /// A new primitive occurrence at instant `t`.
     pub fn primitive(event: EventId, t: Ts, params: Params) -> Occurrence {
+        Occurrence::leaf(event, t, params, &mut None)
+    }
+
+    /// [`Occurrence::primitive`] for a leaf node of the event graph, whose
+    /// occurrences all have the source list `[event]`: `own` holds it from
+    /// the first occurrence on, and each one shares it by reference count.
+    pub(crate) fn leaf(
+        event: EventId,
+        t: Ts,
+        params: Params,
+        own: &mut Option<Arc<Vec<EventId>>>,
+    ) -> Occurrence {
         Occurrence {
             event,
             interval: Interval::at(t),
             params,
-            sources: Arc::new(vec![event]),
+            sources: Arc::clone(own.get_or_insert_with(|| Arc::new(vec![event]))),
         }
     }
 
     /// A composite occurrence combining constituents (in order).
     pub fn composite(event: EventId, interval: Interval, parts: &[&Occurrence]) -> Occurrence {
-        let mut params = Params::new();
-        let mut sources = Vec::new();
+        Occurrence::composite_with_room(event, interval, parts, 0)
+    }
+
+    /// [`Occurrence::composite`] whose parameter buffer has room for
+    /// `extra` more (the temporal operators add `fired_at`, `tick`, …).
+    pub(crate) fn composite_with_room(
+        event: EventId,
+        interval: Interval,
+        parts: &[&Occurrence],
+        extra: usize,
+    ) -> Occurrence {
+        // One constituent (OR, PLUS, a periodic tick): its source list is
+        // the composite's, shared.
+        let sources = match parts {
+            [only] => Arc::clone(&only.sources),
+            _ => {
+                let mut all = Vec::with_capacity(parts.iter().map(|p| p.sources.len()).sum());
+                for p in parts {
+                    all.extend_from_slice(&p.sources);
+                }
+                Arc::new(all)
+            }
+        };
+        let room = parts.iter().map(|p| p.params.len()).sum::<usize>() + extra;
+        let mut params = Params::with_capacity(room);
         for p in parts {
             params.merge(&p.params);
-            sources.extend_from_slice(&p.sources);
         }
         Occurrence {
             event,
             interval,
             params,
-            sources: Arc::new(sources),
+            sources,
         }
     }
 
@@ -301,6 +432,77 @@ mod tests {
         assert_eq!(m.get_int("x"), Some(1));
         assert_eq!(m.get_int("y"), Some(9));
         assert_eq!(m.get_int("z"), Some(3));
+    }
+
+    /// The one allocation behind a run-time key.
+    fn shared(k: &Key) -> &Arc<str> {
+        match k {
+            Key::Shared(name) => name,
+            Key::Static(_) => panic!("a literal has no allocation"),
+        }
+    }
+
+    fn owners(k: &Key) -> usize {
+        Arc::strong_count(shared(k))
+    }
+
+    #[test]
+    fn overwrite_compares_first_and_insert_shares_the_key() {
+        let names = ["user", "session", "role", "op"].map(|n| Key::from(n.to_string()));
+        let mut p = Params::new();
+        for (i, k) in names.iter().enumerate() {
+            p.set(k, i as i64);
+        }
+        assert!(names.iter().all(|k| owners(k) == 2), "inserted by refcount");
+        // Overwriting finds the slot by comparing: whatever names it, the
+        // stored key stays and the offered one is not even cloned.
+        p.set(&names[0], 7i64);
+        p.set("user", 8i64);
+        p.set(String::from("user"), 9i64);
+        assert_eq!((p.len(), p.get_int("user")), (4, Some(9)));
+        assert_eq!(owners(&names[0]), 2);
+        assert!(Arc::ptr_eq(shared(&p.0[0].0), shared(&names[0])));
+    }
+
+    #[test]
+    fn composite_merge_allocates_no_keys() {
+        let names = ["user", "session", "role", "op"].map(|n| Key::from(n.to_string()));
+        let occ = |id, t, base: i64| {
+            let mut p = Params::with_capacity(4);
+            for (i, k) in names.iter().enumerate() {
+                p.set(k, base + i as i64);
+            }
+            Occurrence::primitive(EventId(id), Ts::from_secs(t), p)
+        };
+        let (o1, o2) = (occ(1, 1, 0), occ(2, 2, 10));
+        assert!(names.iter().all(|k| owners(k) == 3));
+        let c = Occurrence::composite(EventId(9), o1.interval.hull(&o2.interval), &[&o1, &o2]);
+        // Four slots opened by `o1`'s keys (one more owner each), four
+        // overwrites by `o2`'s (none): no key was built.
+        assert!(names.iter().all(|k| owners(k) == 4));
+        assert_eq!(c.params.len(), 4);
+        assert_eq!(c.params.get_int("op"), Some(13), "later value wins");
+        assert_eq!(c.params.0.capacity(), 8, "one buffer, sized before merging");
+        assert_eq!(*c.sources, vec![EventId(1), EventId(2)]);
+        // A single constituent's source list is shared, not rebuilt.
+        let or = Occurrence::composite(EventId(10), o1.interval, &[&o1]);
+        assert!(Arc::ptr_eq(&or.sources, &o1.sources));
+    }
+
+    #[test]
+    fn keys_are_their_strings_to_serde_and_fmt() {
+        let p = Params::new()
+            .with("user", 1i64)
+            .with("zone".to_string(), "z1");
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, r#"[["user",{"Int":1}],["zone",{"Str":"z1"}]]"#);
+        let back: Params = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p, "a literal and a shared key of one name are equal");
+        assert!(matches!(back.0[0].0, Key::Shared(_)));
+        assert_eq!(
+            format!("{:?} {}", back.0[0].0, back.0[0].0),
+            "\"user\" user"
+        );
     }
 
     #[test]

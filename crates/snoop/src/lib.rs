@@ -54,5 +54,5 @@ pub use builder::EventExpr;
 pub use calendar::{CalendarExpr, Civil, Field};
 pub use context::Context;
 pub use detector::{Detector, DetectorError};
-pub use event::{Detection, EventId, Occurrence, Params, Value};
+pub use event::{Detection, EventId, Key, Occurrence, Params, Value};
 pub use time::{Dur, Interval, Ts};

@@ -12,6 +12,7 @@ use crate::event::{EventId, Occurrence, Params};
 use crate::time::{Dur, Interval, Ts};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which input of an operator an occurrence arrives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -406,7 +407,7 @@ impl NodeState {
                     .filter(|w| w.opener.interval.before(&occ.interval) && w.ticks > 0)
                 {
                     let interval = w.opener.interval.hull(&occ.interval);
-                    let mut o = Occurrence::composite(me, interval, &[&w.opener, occ]);
+                    let mut o = Occurrence::composite_with_room(me, interval, &[&w.opener, occ], 1);
                     o.params.set("ticks", w.ticks as i64);
                     out.occurrences.push(o);
                 }
@@ -418,12 +419,20 @@ impl NodeState {
         }
     }
 
-    /// Handle a timer firing at `now`.
-    pub fn on_timer(&mut self, me: EventId, now: Ts, req: &TimerReq, out: &mut NodeOutput) {
+    /// Handle a timer firing at `now`. `own` is the node's shared source
+    /// list (see [`Occurrence::leaf`]), which a calendar firing uses.
+    pub fn on_timer(
+        &mut self,
+        me: EventId,
+        now: Ts,
+        req: &TimerReq,
+        own: &mut Option<Arc<Vec<EventId>>>,
+        out: &mut NodeOutput,
+    ) {
         match (self, req) {
             (NodeState::Plus { .. }, TimerReq::Plus { base, .. }) => {
                 let interval = Interval::new(base.interval.start, now);
-                let mut o = Occurrence::composite(me, interval, &[base]);
+                let mut o = Occurrence::composite_with_room(me, interval, &[base], 1);
                 o.params.set("fired_at", now);
                 out.occurrences.push(o);
             }
@@ -440,7 +449,8 @@ impl NodeState {
                 };
                 w.ticks += 1;
                 if !*cumulative {
-                    let mut o = Occurrence::composite(me, Interval::at(now), &[&w.opener]);
+                    let mut o =
+                        Occurrence::composite_with_room(me, Interval::at(now), &[&w.opener], 2);
                     o.params.set("tick", now);
                     o.params.set("tick_no", w.ticks as i64);
                     out.occurrences.push(o);
@@ -451,9 +461,8 @@ impl NodeState {
                 });
             }
             (NodeState::Calendar { expr, .. }, TimerReq::Calendar { .. }) => {
-                let mut o = Occurrence::primitive(me, now, Params::new());
-                o.params.set("time", now);
-                out.occurrences.push(o);
+                let params = Params::new().with("time", now);
+                out.occurrences.push(Occurrence::leaf(me, now, params, own));
                 if let Some(next) = expr.next_after(now) {
                     out.timers.push(TimerReq::Calendar { at: next });
                 }
@@ -733,7 +742,7 @@ mod tests {
         };
         assert_eq!(*at, Ts::from_secs(15));
         let mut out2 = NodeOutput::default();
-        n.on_timer(me, Ts::from_secs(15), &req, &mut out2);
+        n.on_timer(me, Ts::from_secs(15), &req, &mut None, &mut out2);
         assert_eq!(out2.occurrences.len(), 1);
         assert_eq!(
             out2.occurrences[0].interval,
@@ -755,14 +764,14 @@ mod tests {
         // Fire two ticks.
         let t1 = out.timers.remove(0);
         let mut o1 = NodeOutput::default();
-        n.on_timer(me, Ts::from_secs(10), &t1, &mut o1);
+        n.on_timer(me, Ts::from_secs(10), &t1, &mut None, &mut o1);
         assert_eq!(o1.occurrences.len(), 1);
         assert_eq!(o1.timers.len(), 1);
         // Close the window; pending tick becomes a no-op.
         n.on_periodic_end(me, &occ(3, 15), &mut o1);
         let t2 = o1.timers.remove(0);
         let mut o2 = NodeOutput::default();
-        n.on_timer(me, Ts::from_secs(20), &t2, &mut o2);
+        n.on_timer(me, Ts::from_secs(20), &t2, &mut None, &mut o2);
         assert!(o2.occurrences.is_empty());
         assert!(o2.timers.is_empty());
     }

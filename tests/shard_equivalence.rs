@@ -30,7 +30,7 @@ use workload::{
 
 /// The session-id-free audit projection compared at shard counts where
 /// allocation order may legitimately differ from the reference.
-type Projected = (Ts, AuditKind, Option<String>, Option<EventId>);
+type Projected = (Ts, AuditKind, Option<std::sync::Arc<str>>, Option<EventId>);
 
 fn project(e: &AuditEntry) -> Projected {
     (e.time, e.kind.clone(), e.rule.clone(), e.event)

@@ -1,0 +1,274 @@
+//! Wire compatibility with the commit before parameter keys, rule names and
+//! source lists became shared values.
+//!
+//! `tests/fixtures/wire_pr13` holds bytes written by that commit (PR 13,
+//! `7da7a4a`, built against the `authz-bench` stand-in serde): this file's
+//! [`write_fixture`] run there. What changed since is only who owns the
+//! strings, so every stored form must read back to the same value, write out
+//! to the same bytes, and a stored engine must carry on from where it was.
+
+use owte_core::{apply_op, DurableConfig, DurableEngine, Engine, FileStorage, JournalOp};
+use policy::{events, PolicyGraph};
+use sentinel::{AuditEntry, AuditKind};
+use snoop::{Detector, Dur, EventExpr, EventId, Occurrence, Params, Ts};
+use std::path::{Path, PathBuf};
+
+fn fixture() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire_pr13")
+}
+
+/// A raw external event with integer, string and boolean parameters.
+fn raw_event() -> JournalOp {
+    JournalOp::RawEvent {
+        event: "badgeSwipe".into(),
+        params: Params::new()
+            .with("user", 7i64)
+            .with("door", "lab-2")
+            .with("granted", true),
+    }
+}
+
+/// A SEQ detection: parameters merged from both constituents (the later
+/// `user` wins), sources from both.
+fn composite() -> Occurrence {
+    let mut d = Detector::new(Ts::ZERO);
+    let seq = d
+        .define(&EventExpr::seq(
+            EventExpr::prim("enter"),
+            EventExpr::prim("leave"),
+        ))
+        .expect("two primitives");
+    d.watch(seq);
+    let enter = Params::new().with("user", 1i64).with("zone", "z1");
+    d.raise_named("enter", enter).expect("defined above");
+    d.advance(Dur::from_secs(2)).expect("forward");
+    let leave = Params::new().with("user", 2i64).with("role", 5i64);
+    let mut dets = d.raise_named("leave", leave).expect("defined above");
+    assert_eq!(dets.len(), 1);
+    dets.remove(0).occurrence
+}
+
+fn audit_entries() -> Vec<AuditEntry> {
+    vec![
+        AuditEntry {
+            time: Ts::from_secs(90),
+            kind: AuditKind::Denied,
+            rule: Some("AAR2_PC".into()),
+            event: Some(EventId(7)),
+            message: "Access Denied Cannot Activate PC".into(),
+        },
+        AuditEntry {
+            time: Ts::from_secs(91),
+            kind: AuditKind::Alert,
+            rule: None,
+            event: None,
+            message: String::new(),
+        },
+    ]
+}
+
+/// `$file` decodes, as a `$ty`, to `$want`, and that value encodes to
+/// exactly `$file`.
+macro_rules! round_trips {
+    ($file:expr, $ty:ty, $want:expr) => {{
+        let bytes = std::fs::read(fixture().join($file)).expect("committed fixture");
+        let old: $ty = serde_json::from_slice(&bytes).expect("the old form decodes");
+        assert_eq!(old, $want, "{} decodes to a different value", $file);
+        let again = serde_json::to_vec(&old).expect("serializes");
+        assert_eq!(
+            String::from_utf8_lossy(&again),
+            String::from_utf8_lossy(&bytes),
+            "{} is written differently now",
+            $file
+        );
+    }};
+}
+
+#[test]
+fn stored_values_decode_and_reencode_byte_identically() {
+    round_trips!("raw_event.json", JournalOp, raw_event());
+    round_trips!("occurrence.json", Occurrence, composite());
+    round_trips!("audit_entries.json", Vec<AuditEntry>, audit_entries());
+}
+
+const START: Ts = Ts::ZERO;
+
+/// Two roles, `clerk` with a one-hour activation limit (so a store holds a
+/// pending Δ timer, whose base occurrence carries parameters).
+fn policy() -> PolicyGraph {
+    let mut g = PolicyGraph::new("wire");
+    g.role("clerk").max_activation = Some(Dur::from_secs(3600));
+    g.role("auditor");
+    g.user("ann");
+    g.user("bob");
+    g.assign("ann", "clerk");
+    g.assign("bob", "auditor");
+    g.permission("read_ledger", "read", "ledger");
+    g.permission("write_ledger", "write", "ledger");
+    g.grant("read_ledger", "clerk");
+    g.grant("read_ledger", "auditor");
+    g
+}
+
+/// The stored history: `.0` went in before the snapshot, `.1` is the
+/// journal tail behind it.
+fn script() -> (Vec<JournalOp>, Vec<JournalOp>) {
+    let e = Engine::from_policy(&policy(), START).expect("the policy is clean");
+    let (ann, bob) = (e.user_id("ann").unwrap(), e.user_id("bob").unwrap());
+    let (clerk, auditor) = (e.role_id("clerk").unwrap(), e.role_id("auditor").unwrap());
+    let sys = e.system();
+    let (read, write) = (
+        sys.op_by_name("read").unwrap(),
+        sys.op_by_name("write").unwrap(),
+    );
+    let ledger = sys.obj_by_name("ledger").unwrap();
+    let (s0, s1) = (rbac::SessionId(0), rbac::SessionId(1));
+    let check = |session, op| JournalOp::CheckAccess {
+        session,
+        op,
+        obj: ledger,
+        purpose: -1,
+    };
+    let before = vec![
+        JournalOp::CreateSession {
+            user: ann,
+            initial: vec![clerk],
+        },
+        JournalOp::CreateSession {
+            user: bob,
+            initial: vec![],
+        },
+        JournalOp::AddActiveRole {
+            user: bob,
+            session: s1,
+            role: auditor,
+        },
+        check(s0, read),
+        check(s1, write),
+        JournalOp::SetContext {
+            key: "zone".into(),
+            value: "z1".into(),
+        },
+        JournalOp::RawEvent {
+            event: events::CHECK_ACCESS.into(),
+            params: Params::new()
+                .with("session", 0i64)
+                .with("op", i64::from(read.0))
+                .with("obj", i64::from(ledger.0))
+                .with("purpose", -1i64)
+                .with("note", "badge-17"),
+        },
+    ];
+    let tail = vec![
+        JournalOp::AdvanceTo {
+            to: Ts::from_secs(1800),
+        },
+        JournalOp::AddActiveRole {
+            user: ann,
+            session: s0,
+            role: auditor,
+        },
+        JournalOp::RawEvent {
+            event: events::CONTEXT_CHANGED.into(),
+            params: Params::new().with("key", "zone").with("value", "z2"),
+        },
+        // Past the hour: the restored timer deactivates `clerk` in s0.
+        JournalOp::AdvanceTo {
+            to: Ts::from_secs(7200),
+        },
+        check(s0, read),
+        JournalOp::DropActiveRole {
+            user: bob,
+            session: s1,
+            role: auditor,
+        },
+    ];
+    (before, tail)
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::remove_dir_all(to).ok();
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn store_written_by_the_previous_commit_recovers_to_the_replayed_state() {
+    // Work on a copy: opening a store may repair or rotate its files.
+    let dir = std::env::temp_dir().join(format!("owte-wire-pr13-{}", std::process::id()));
+    copy_dir(&fixture().join("store"), &dir);
+    let config = DurableConfig {
+        snapshot_every: None,
+        ..DurableConfig::default()
+    };
+    let old = DurableEngine::open(FileStorage::open(&dir).unwrap(), config)
+        .expect("a store written by the previous commit opens");
+    let (before, tail) = script();
+    assert_eq!(
+        (old.snapshot_ops(), old.op_count()),
+        (before.len() as u64, (before.len() + tail.len()) as u64)
+    );
+
+    let mut fresh = Engine::from_policy(&policy(), START).unwrap();
+    for op in before.iter().chain(&tail) {
+        apply_op(&mut fresh, op).expect("the clock only moves forward");
+    }
+    assert!(
+        repl::state_matches(old.engine(), &fresh),
+        "snapshot + tail written before ≠ the same history replayed now:\n{}\nvs\n{}",
+        old.engine().log().report(),
+        fresh.log().report()
+    );
+    // What the history is there to exercise did happen: the Δ timer the
+    // snapshot held fired from its stored occurrence, and named rules
+    // wrote the trail.
+    let sys = old.engine().system();
+    assert!(sys.session_roles(rbac::SessionId(0)).unwrap().is_empty());
+    assert_eq!(old.engine().log().denial_count(), 3);
+    assert!(old
+        .engine()
+        .log()
+        .entries()
+        .iter()
+        .all(|e| e.rule.is_some()));
+
+    drop(old);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes the fixture set of the commit it is run at into the system's
+/// temporary directory, for a later commit to adopt as
+/// `tests/fixtures/wire_<that commit>`.
+#[test]
+#[ignore = "a generator, not a check: run it at the commit whose bytes are wanted"]
+fn write_fixture() {
+    let out = std::env::temp_dir().join("owte-wire-fixture");
+    std::fs::remove_dir_all(&out).ok();
+    std::fs::create_dir_all(out.join("store")).unwrap();
+    let put = |file: &str, bytes: Vec<u8>| std::fs::write(out.join(file), bytes).unwrap();
+    put("raw_event.json", serde_json::to_vec(&raw_event()).unwrap());
+    put("occurrence.json", serde_json::to_vec(&composite()).unwrap());
+    put(
+        "audit_entries.json",
+        serde_json::to_vec(&audit_entries()).unwrap(),
+    );
+
+    let config = DurableConfig {
+        snapshot_every: None,
+        ..DurableConfig::default()
+    };
+    let storage = FileStorage::open(out.join("store")).unwrap();
+    let mut d = DurableEngine::create(storage, &policy(), START, config).unwrap();
+    let (before, tail) = script();
+    for op in &before {
+        let _ = d.apply_replicated(op);
+    }
+    d.snapshot_now().unwrap();
+    for op in &tail {
+        let _ = d.apply_replicated(op);
+    }
+    println!("fixture written to {}", out.display());
+}
