@@ -9,8 +9,8 @@
 //! "acceptable".
 //!
 //! Each series runs three ways: `owte` (compiled dispatch plan, the
-//! default), `owte_interp` (the same engine with the plan disarmed via
-//! `set_compiled(false)`), and `direct`. The owte/owte_interp spread is
+//! default), `owte_interp` (the reference evaluator, `Engine::interpreted`,
+//! over the same policy), and `direct`. The owte/owte_interp spread is
 //! the compilation speedup; the owte/direct spread is the remaining
 //! flexibility overhead.
 
@@ -70,8 +70,7 @@ fn fixture(variant: &str) -> Fixture {
     };
     g.assign("u", assignee);
     let owte = Engine::from_policy(&g, Ts::ZERO).unwrap();
-    let mut interp = Engine::from_policy(&g, Ts::ZERO).unwrap();
-    interp.set_compiled(false);
+    let interp = Engine::interpreted(&g, Ts::ZERO).unwrap();
     let direct = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
     let mut fx = Fixture {
         user: owte.user_id("u").unwrap(),
@@ -138,8 +137,7 @@ fn bench_check_access(c: &mut Criterion) {
     for &roles in &[10usize, 100, 500] {
         let g = generate_enterprise(&EnterpriseSpec::flat(roles), 42);
         let mut owte = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        let mut interp = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        interp.set_compiled(false);
+        let mut interp = Engine::interpreted(&g, Ts::ZERO).unwrap();
         let mut direct = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
         let user = owte.user_id("user0").unwrap();
         // Activate everything user0 is assigned to, in all engines.
@@ -183,8 +181,7 @@ fn bench_hierarchy_depth(c: &mut Criterion) {
         }
         g.assign("u", "r0");
         let mut owte = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        let mut interp = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        interp.set_compiled(false);
+        let mut interp = Engine::interpreted(&g, Ts::ZERO).unwrap();
         let mut direct = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
         let u = owte.user_id("u").unwrap();
         let bottom = owte.role_id(&format!("r{depth}")).unwrap();
@@ -222,8 +219,7 @@ fn bench_denial_path(c: &mut Criterion) {
     g.role("target");
     // u is NOT assigned to target.
     let mut owte = Engine::from_policy(&g, Ts::ZERO).unwrap();
-    let mut interp = Engine::from_policy(&g, Ts::ZERO).unwrap();
-    interp.set_compiled(false);
+    let mut interp = Engine::interpreted(&g, Ts::ZERO).unwrap();
     let mut direct = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
     let u = owte.user_id("u").unwrap();
     let r = owte.role_id("target").unwrap();

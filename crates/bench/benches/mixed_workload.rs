@@ -6,8 +6,8 @@
 //! `enforcement.rs` (tens of ×) shrinks here because trace overhead
 //! (session bookkeeping, monitor work) is shared; the paper's "acceptable
 //! overhead" claim is about this end-to-end number. The `owte_interp`
-//! series pins the interpreter (`set_compiled(false)`) so the compiled
-//! plan's end-to-end contribution is visible separately (E13).
+//! series is the reference evaluator (`Engine::interpreted`), so the
+//! compiled plan's end-to-end contribution is visible separately (E13).
 
 use bench::{replay_direct, replay_owte, replay_owte_interpreted};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

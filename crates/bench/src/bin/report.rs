@@ -1,18 +1,17 @@
 //! Prints the evaluation tables recorded in EXPERIMENTS.md — rule-pool
 //! composition per enterprise size (E2), regeneration scope (E3), the
 //! XYZ / Figure-1 pool breakdown (E1), the bounded model-check sweep
-//! (E11), the independence-certificate fast path (E12), and the
-//! compiled-dispatch gap per-op (E5), end-to-end (E13), replication
-//! failover/shipping cost (E14), and sharded mutation scaling (E15) —
-//! and emits each as a machine-readable
-//! `BENCH_<id>.json` so CI can track the perf trajectory across PRs.
+//! (E11), and the compiled-dispatch gap per-op (E5), end-to-end (E13),
+//! replication failover/shipping cost (E14), and sharded mutation scaling
+//! (E15) — and emits each as a machine-readable `BENCH_<id>.json` so CI
+//! can track the perf trajectory across PRs.
 //!
 //! Run with: `cargo run -p bench --bin report --release`
 //! (`BENCH_JSON_DIR=path` overrides the default `target/bench-report`.)
 
 use bench::{replay_direct, replay_owte, replay_owte_interpreted};
 use owte_core::{DirectEngine, DurableConfig, Engine};
-use policy::{instantiate, regenerate, DailyWindow, PolicyGraph, VerifyGate};
+use policy::{instantiate, regenerate, DailyWindow, PolicyGraph};
 use rbac::RoleId;
 use sim::{
     explore, strip_sod, tiny_enterprise, tiny_ops, Budget, Invariants, Outcome, Strategy, World,
@@ -266,64 +265,6 @@ fn main() {
     e11.push_str("}\n");
     emit_json("E11", &e11);
 
-    println!("\n== E12: independence certificates — assume_independent dispatch fast path ==");
-    println!(
-        "{:>8} {:>14} {:>14} {:>14} {:>10}",
-        "roles", "indep events", "certified", "uncertified", "speedup"
-    );
-    let mut e12_rows = Vec::new();
-    for &roles in &[50usize, 200] {
-        let g = generate_enterprise(&EnterpriseSpec::sized(roles), 7);
-        // Same pool, same workload; the only difference is whether the
-        // verification gate armed the per-event independence certificates
-        // (and the acyclicity proof they ride with). The compiled plan is
-        // disarmed on the certified side so this series keeps measuring
-        // the certificate effect alone — compilation has its own series
-        // (E5/E13) below.
-        let mut certified = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        certified.set_compiled(false);
-        let mut uncertified = Engine::from_policy_gated(&g, Ts::ZERO, VerifyGate::Off).unwrap();
-        let independent = certified.independent_event_count();
-        let bench = |e: &mut Engine| {
-            let mut sessions = Vec::new();
-            for u in 0..10 {
-                let uid = e.user_id(&workload::enterprise::user_name(u)).unwrap();
-                let Ok(s) = e.create_session(uid, &[]) else {
-                    continue;
-                };
-                for r in 0..roles.min(8) {
-                    let rid = e.role_id(&workload::enterprise::role_name(r)).unwrap();
-                    let _ = e.add_active_role(uid, s, rid);
-                }
-                sessions.push(s);
-            }
-            let op = e.system().op_by_name("op0").unwrap();
-            let obj = e.system().obj_by_name("obj0").unwrap();
-            let iters = 20_000usize;
-            let t0 = Instant::now();
-            for i in 0..iters {
-                let _ = e.check_access(sessions[i % sessions.len()], op, obj);
-            }
-            t0.elapsed()
-        };
-        let on = bench(&mut certified);
-        let off = bench(&mut uncertified);
-        assert_eq!(
-            (certified.log().len(), certified.log().denial_count()),
-            (uncertified.log().len(), uncertified.log().denial_count()),
-            "the fast path must not change decisions"
-        );
-        let speedup = off.as_secs_f64() / on.as_secs_f64();
-        println!("{roles:>8} {independent:>14} {on:>14?} {off:>14?} {speedup:>9.2}x");
-        e12_rows.push(format!(
-            "{{\"roles\":{roles},\"independent_events\":{independent},\
-             \"certified_ms\":{:.3},\"uncertified_ms\":{:.3},\"speedup\":{speedup:.3}}}",
-            on.as_secs_f64() * 1e3,
-            off.as_secs_f64() * 1e3
-        ));
-    }
-    emit_json("E12", &format!("[{}]\n", e12_rows.join(",")));
-
     println!("\n== E5: per-op interpreter gap — interpreted vs compiled vs direct ==");
     println!(
         "{:>8} {:>14} {:>12} {:>12} {:>12} {:>10} {:>10}",
@@ -337,8 +278,7 @@ fn main() {
             compiled.compiled_active(),
             "E5 needs the compiled plan armed"
         );
-        let mut interp = Engine::from_policy(&g, Ts::ZERO).unwrap();
-        interp.set_compiled(false);
+        let mut interp = Engine::interpreted(&g, Ts::ZERO).unwrap();
         let mut direct = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
         let user = compiled
             .system()

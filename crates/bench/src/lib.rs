@@ -32,12 +32,11 @@ pub fn replay_owte(graph: &PolicyGraph, trace: &[Step], users: usize) -> ReplayS
     replay_owte_engine(&mut e, trace, users)
 }
 
-/// Replay a trace against the rule-driven engine with the compiled plan
-/// disarmed — the interpreter baseline the compilation speedup (E5/E13)
-/// is measured against.
+/// Replay a trace against the reference evaluator
+/// ([`Engine::interpreted`]) — the baseline the compilation speedup
+/// (E5/E13) is measured against.
 pub fn replay_owte_interpreted(graph: &PolicyGraph, trace: &[Step], users: usize) -> ReplayStats {
-    let mut e = Engine::from_policy(graph, Ts::ZERO).expect("bench policy instantiates");
-    e.set_compiled(false);
+    let mut e = Engine::interpreted(graph, Ts::ZERO).expect("bench policy instantiates");
     replay_owte_engine(&mut e, trace, users)
 }
 

@@ -101,21 +101,12 @@ pub struct Engine {
     /// footprint for that rule (`FootprintViolated`).
     #[serde(default)]
     observed_touches: BTreeSet<RuleTouch>,
-    /// The compiled execution plan, when the pool is licensed (proved
-    /// terminating, zero analyzer errors). Pure derived state — rebuilt
-    /// from the instantiation on demand, never persisted; a restored
-    /// engine recompiles lazily on its first dispatch, which the sim's
-    /// crash-restart schedules exercise.
+    /// The compiled execution plan, when the pool has one (see [`Plan`]).
+    /// Pure derived state — rebuilt from the instantiation on demand,
+    /// never persisted; a restored engine lowers its pool on first use,
+    /// which the sim's crash-restart schedules exercise.
     #[serde(skip)]
-    compiled: Option<CompiledPolicy>,
-    /// Has a (re)compile been attempted for the current pool? Prevents
-    /// re-running the analyzer per dispatch when compilation is refused.
-    #[serde(skip)]
-    compile_checked: bool,
-    /// Operator kill-switch ([`Engine::set_compiled`]): when set, the
-    /// engine stays on the interpreter regardless of the license.
-    #[serde(skip)]
-    compile_disabled: bool,
+    plan: Plan,
     /// Per-role count of users active in that role **outside** this
     /// engine, injected by a sharding front so cross-user reads
     /// (cardinality caps, `RoleActiveAnywhere`) see the global picture.
@@ -155,10 +146,50 @@ impl Clone for HorizonMemo {
     }
 }
 
-/// An event to dispatch: pre-resolved (compiled fast path) or by name.
+/// What the engine knows about lowering its current pool. The executor is
+/// handed the plan when there is one and interprets the pool otherwise:
+/// nothing else selects the evaluator.
+#[derive(Clone, Default)]
+enum Plan {
+    /// Not tried for this pool yet: a restored engine.
+    #[default]
+    Untried,
+    /// The analyzer licensed the pool (proved terminating, zero errors).
+    Armed(CompiledPolicy),
+    /// The pool is not licensed, or was built with the gate off.
+    Unlicensed,
+    /// [`Engine::interpreted`]: the reference evaluator never lowers.
+    Oracle,
+}
+
+impl Plan {
+    /// Lower `inst` under the analyzer's verdict.
+    fn lowered(inst: &Instantiated, analysis: &policy::AnalysisReport) -> Plan {
+        policy::compile_pool(inst, analysis).map_or(Plan::Unlicensed, Plan::Armed)
+    }
+
+    /// The plan, lowering `inst` first if that was never tried. The
+    /// analyzer only runs when the executor holds a termination proof
+    /// (`provable`) — which is exactly when it can license the pool.
+    fn get(&mut self, inst: &Instantiated, provable: bool) -> Option<&CompiledPolicy> {
+        if matches!(self, Plan::Untried) {
+            *self = if provable {
+                Plan::lowered(inst, &policy::analyze(inst))
+            } else {
+                Plan::Unlicensed
+            };
+        }
+        match self {
+            Plan::Armed(compiled) => Some(compiled),
+            _ => None,
+        }
+    }
+}
+
+/// An event to dispatch: pre-resolved (from the plan's tables) or by name.
 #[derive(Clone, Copy)]
 enum EventRef<'a> {
-    /// A pre-resolved event id (from the compiled plan's tables).
+    /// A pre-resolved event id.
     Id(EventId),
     /// An event name, resolved by the detector at dispatch time.
     Name(&'a str),
@@ -197,29 +228,20 @@ impl Engine {
         let (inst, report) = policy::instantiate_verified(graph, start, gate)?;
         let privacy = PrivacyState::from_policy(graph, &inst.binding);
         let context = ContextState::from_policy(graph, &inst.binding);
-        // Only trust the termination proof and the per-event independence
-        // certificates when the gate actually verified the pool: with the
-        // gate off, the cascade-depth guard and per-rule conflict
-        // re-checks stay armed. The certificates stay valid across manual
-        // rule enable/disable (they are computed over disabled rules too)
-        // and are recomputed on `apply_policy`.
+        // Only trust the termination proof when the gate actually
+        // verified the pool: with the gate off, the cascade-depth guard
+        // stays armed.
         let verified = gate != VerifyGate::Off;
         let exec = Executor {
             assume_acyclic: verified && report.proved_terminating(),
-            assume_independent: verified,
-            independent_events: if verified {
-                report.effects.independent_event_ids(&inst.pool)
-            } else {
-                BTreeSet::new()
-            },
             ..Executor::new()
         };
         // Eagerly lower the verified pool into the compiled plan; an
         // unlicensed pool (or an ungated build) keeps the interpreter.
-        let compiled = if verified {
-            policy::compile_pool(&inst, &report).ok()
+        let plan = if verified {
+            Plan::lowered(&inst, &report)
         } else {
-            None
+            Plan::Unlicensed
         };
         Ok(Engine {
             inst,
@@ -233,13 +255,24 @@ impl Engine {
             state_version: 0,
             deepest_cascade: 0,
             observed_touches: BTreeSet::new(),
-            compiled,
-            compile_checked: true,
-            compile_disabled: false,
+            plan,
             external_active: BTreeMap::new(),
             view: OnceLock::new(),
             temporal_horizon: HorizonMemo::default(),
         })
+    }
+
+    /// The reference evaluator: [`Engine::from_policy`], except that this
+    /// engine interprets its rule pool on every dispatch and never lowers
+    /// it, [`Engine::apply_policy`] included. Decisions, reports and audit
+    /// entries are the same by contract; it is the oracle the compiled
+    /// plan is held against, the way [`crate::DirectEngine`] is the
+    /// reference monitor. For tests and benchmarks: nothing a deployment
+    /// runs builds one.
+    pub fn interpreted(graph: &PolicyGraph, start: Ts) -> Result<Engine, InstantiateError> {
+        let mut engine = Engine::from_policy(graph, start)?;
+        engine.plan = Plan::Oracle;
+        Ok(engine)
     }
 
     /// Parse a DSL policy text and build the engine.
@@ -431,17 +464,11 @@ impl Engine {
         self.exec.assume_acyclic
     }
 
-    /// How many events carry an analyzer independence certificate (the
-    /// executor's `assume_independent` snapshot fast path applies to
-    /// them).
-    pub fn independent_event_count(&self) -> usize {
-        self.exec.independent_events.len()
-    }
-
     /// Arm or disarm effect recording: while armed, every state region
     /// the executor's checks and actions touch is accumulated into
     /// [`Engine::observed_touches`] (with runtime-resolved targets). Off
-    /// by default — recording costs an allocation per evaluated check.
+    /// by default — recording costs an allocation per evaluated check,
+    /// and the executor interprets the pool while it is on.
     pub fn record_effects(&mut self, on: bool) {
         self.exec.record_effects = on;
     }
@@ -508,97 +535,64 @@ impl Engine {
         self.dispatch_ref(EventRef::Name(event), params)
     }
 
-    /// Dispatch an event, routed through the compiled plan when one is
-    /// armed (and effect recording — which only the interpreter supports —
-    /// is off). Both paths are decision- and audit-identical by
-    /// construction; the equivalence proptests and the simulator's
-    /// `CompiledDivergence` invariant enforce it.
+    /// Run `f` on the executor and the engine's parts borrowed as its
+    /// runtime. The plan goes along when the pool has one; which
+    /// evaluator then runs is the executor's decision, not made here.
+    fn with_runtime<R>(&mut self, f: impl FnOnce(&Executor, &mut Runtime<'_>) -> R) -> R {
+        let plan = self.plan.get(&self.inst, self.exec.assume_acyclic);
+        let mut view = BridgeView {
+            sys: &mut self.inst.system,
+            temporal: &self.inst.temporal,
+            constraints: &self.inst.constraints,
+            privacy: &self.privacy,
+            context: &self.context,
+            denials: &self.denials,
+            external: &self.external_active,
+        };
+        let mut rt = Runtime {
+            detector: &mut self.inst.detector,
+            pool: &mut self.inst.pool,
+            state: &mut view,
+            log: &mut self.log,
+            plan: plan.map(|compiled| &compiled.plan),
+        };
+        f(&self.exec, &mut rt)
+    }
+
+    /// Book what a dispatch or a clock advance did and feed its denials
+    /// to active security.
+    fn settle(&mut self, report: &ExecReport, moved: bool) -> Result<(), EngineError> {
+        if moved || report.mutations > 0 {
+            self.bump_version();
+        }
+        self.deepest_cascade = self.deepest_cascade.max(report.max_depth);
+        self.observed_touches.extend(report.touches.iter().cloned());
+        self.after_dispatch(report)
+    }
+
+    /// Raise `ev` through the rule system. An unknown name comes back as
+    /// the detector's error, whichever evaluator the pool runs on.
     fn dispatch_ref(
         &mut self,
         ev: EventRef<'_>,
         params: Params,
     ) -> Result<ExecReport, EngineError> {
-        self.ensure_compiled();
-        let report = {
-            let mut view = BridgeView {
-                sys: &mut self.inst.system,
-                temporal: &self.inst.temporal,
-                constraints: &self.inst.constraints,
-                privacy: &self.privacy,
-                context: &self.context,
-                denials: &self.denials,
-                external: &self.external_active,
-            };
-            let mut rt = Runtime {
-                detector: &mut self.inst.detector,
-                pool: &mut self.inst.pool,
-                state: &mut view,
-                log: &mut self.log,
-            };
-            let plan = match &self.compiled {
-                Some(c) if !self.exec.record_effects => Some(&c.plan),
-                _ => None,
-            };
-            match (ev, plan) {
-                (EventRef::Id(id), Some(plan)) => {
-                    self.exec.dispatch_compiled(&mut rt, plan, id, params)?
-                }
-                (EventRef::Id(id), None) => self.exec.dispatch(&mut rt, id, params)?,
-                (EventRef::Name(event), Some(plan)) => match rt.detector.lookup(event) {
-                    Some(id) => self.exec.dispatch_compiled(&mut rt, plan, id, params)?,
-                    // Unknown name: the interpreter path produces the
-                    // canonical detector error.
-                    None => self.exec.dispatch_named(&mut rt, event, params)?,
-                },
-                (EventRef::Name(event), None) => {
-                    self.exec.dispatch_named(&mut rt, event, params)?
-                }
-            }
-        };
-        if report.mutations > 0 {
-            self.bump_version();
-        }
-        self.deepest_cascade = self.deepest_cascade.max(report.max_depth);
-        self.observed_touches.extend(report.touches.iter().cloned());
-        self.after_dispatch(&report)?;
+        let report = self.with_runtime(|exec, rt| match ev {
+            EventRef::Id(id) => exec.dispatch(rt, id, params),
+            EventRef::Name(name) => exec.dispatch_named(rt, name, params),
+        })?;
+        self.settle(&report, false)?;
         Ok(report)
     }
 
     /// Advance the logical clock, firing temporal rules on the way.
     pub fn advance_to(&mut self, ts: Ts) -> Result<ExecReport, EngineError> {
-        self.ensure_compiled();
         let before = self.now();
-        let report = {
-            let mut view = BridgeView {
-                sys: &mut self.inst.system,
-                temporal: &self.inst.temporal,
-                constraints: &self.inst.constraints,
-                privacy: &self.privacy,
-                context: &self.context,
-                denials: &self.denials,
-                external: &self.external_active,
-            };
-            let mut rt = Runtime {
-                detector: &mut self.inst.detector,
-                pool: &mut self.inst.pool,
-                state: &mut view,
-                log: &mut self.log,
-            };
-            match &self.compiled {
-                Some(c) if !self.exec.record_effects => {
-                    self.exec.advance_to_compiled(&mut rt, &c.plan, ts)?
-                }
-                _ => self.exec.advance_to(&mut rt, ts)?,
-            }
-        };
+        let report = self.with_runtime(|exec, rt| exec.advance_to(rt, ts))?;
         // Clock movement alone invalidates snapshots: their `from` anchor
         // is stale even when no timer fired.
-        if self.now() != before || report.mutations > 0 {
-            self.bump_version();
-        }
-        self.deepest_cascade = self.deepest_cascade.max(report.max_depth);
-        self.observed_touches.extend(report.touches.iter().cloned());
-        self.after_dispatch(&report)?;
+        let moved = self.now() != before;
+        self.settle(&report, moved)?;
         Ok(report)
     }
 
@@ -621,63 +615,34 @@ impl Engine {
             self.denials.pop_front();
         }
         self.in_denial_cascade = true;
-        let ev = match self.compiled.as_ref().and_then(|c| c.access_denied) {
-            Some(id) => EventRef::Id(id),
-            None => EventRef::Name(events::ACCESS_DENIED),
-        };
-        let result = self.dispatch_ref(ev, Params::with_capacity(1).with("time", now));
+        let result = self.dispatch_admin_event(
+            |c| c.access_denied,
+            events::ACCESS_DENIED,
+            Params::with_capacity(1).with("time", now),
+        );
         self.in_denial_cascade = false;
         result.map(|_| ())
     }
 
     // ---- compiled-plan lifecycle ----------------------------------------------
 
-    /// Lazily (re)build the compiled plan: runs at most once per pool
-    /// (guarded by `compile_checked`), only when the executor holds a
-    /// termination proof — which is exactly when the analyzer can license
-    /// compilation. Restored (deserialized) engines recompile here on
-    /// their first dispatch.
-    fn ensure_compiled(&mut self) {
-        if self.compiled.is_some()
-            || self.compile_checked
-            || self.compile_disabled
-            || !self.exec.assume_acyclic
-        {
-            return;
-        }
-        self.compile_checked = true;
-        let report = policy::analyze(&self.inst);
-        self.compiled = policy::compile_pool(&self.inst, &report).ok();
-    }
-
-    /// Turn the compiled fast path on or off at runtime. Turning it off
-    /// drops the plan and pins the interpreter (the A/B lever the
-    /// equivalence tests and benches use); turning it back on recompiles
-    /// lazily under the usual license.
-    pub fn set_compiled(&mut self, on: bool) {
-        if on {
-            self.compile_disabled = false;
-            self.compile_checked = false;
-            self.ensure_compiled();
-        } else {
-            self.compile_disabled = true;
-            self.compiled = None;
-        }
+    /// The armed plan and its pre-resolved operation events, if the pool
+    /// has one.
+    fn armed_plan(&mut self) -> Option<&CompiledPolicy> {
+        self.plan.get(&self.inst, self.exec.assume_acyclic)
     }
 
     /// Is a compiled plan currently armed?
     pub fn compiled_active(&self) -> bool {
-        self.compiled.is_some()
+        matches!(self.plan, Plan::Armed(_))
     }
 
     /// Deterministic listing of the compiled plan (dispatch tables,
-    /// condition bytecode, pre-bound actions), compiling first if needed.
-    /// `None` when the pool is not licensed or compilation is disabled.
+    /// condition bytecode, bound actions), compiling first if needed.
+    /// `None` when the pool is not licensed.
     pub fn plan_text(&mut self) -> Option<String> {
-        self.ensure_compiled();
-        self.compiled
-            .as_ref()
-            .map(|c| c.plan.dump(&self.inst.detector))
+        let plan = self.plan.get(&self.inst, self.exec.assume_acyclic)?;
+        Some(plan.plan.dump(&self.inst.detector))
     }
 
     /// Dispatch a per-role operation event: by pre-resolved id on a table
@@ -690,10 +655,8 @@ impl Engine {
         role: RoleId,
         params: Params,
     ) -> Result<ExecReport, EngineError> {
-        self.ensure_compiled();
         let hit = self
-            .compiled
-            .as_ref()
+            .armed_plan()
             .and_then(|c| CompiledPolicy::role_event(table(c), role));
         match hit {
             Some(id) => self.dispatch_ref(EventRef::Id(id), params),
@@ -712,8 +675,7 @@ impl Engine {
         name: &str,
         params: Params,
     ) -> Result<ExecReport, EngineError> {
-        self.ensure_compiled();
-        match self.compiled.as_ref().and_then(resolved) {
+        match self.armed_plan().and_then(resolved) {
             Some(id) => self.dispatch_ref(EventRef::Id(id), params),
             None => self.dispatch(name, params),
         }
@@ -941,18 +903,12 @@ impl Engine {
         // rebuild are atomic with the pool swap below.
         let (report, analysis) =
             policy::regenerate_verified(&mut self.inst, new, VerifyGate::DenyOnError)?;
-        self.compiled = if self.compile_disabled {
-            None
-        } else {
-            policy::compile_pool(&self.inst, &analysis).ok()
-        };
-        self.compile_checked = true;
+        if !matches!(self.plan, Plan::Oracle) {
+            self.plan = Plan::lowered(&self.inst, &analysis);
+        }
         self.view = OnceLock::new();
         self.temporal_horizon = HorizonMemo::default();
         self.exec.assume_acyclic = analysis.proved_terminating();
-        // Independence certificates follow the regenerated pool.
-        self.exec.assume_independent = true;
-        self.exec.independent_events = analysis.effects.independent_event_ids(&self.inst.pool);
         self.privacy = PrivacyState::from_policy(new, &self.inst.binding);
         // Constraints follow the new policy; runtime environment values
         // (where the user *is*) are preserved.
@@ -1133,37 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn independence_certificates_armed_and_behaviour_identical() {
-        let e = xyz_engine();
-        assert!(
-            e.independent_event_count() > 0,
-            "no XYZ rule toggles rules: events certify independent"
-        );
-        // Same workload through the certified fast path and through an
-        // ungated engine (slow path, no certificates): identical
-        // decisions and audit trail lengths.
-        let run = |mut e: Engine| {
-            let alice = e.user_id("alice").unwrap();
-            let pm = e.role_id("PM").unwrap();
-            let pc = e.role_id("PC").unwrap();
-            let s = e.create_session(alice, &[pm]).unwrap();
-            e.add_active_role(alice, s, pc).unwrap();
-            let second = e.add_active_role(alice, s, pc);
-            assert!(matches!(second, Err(EngineError::Denied(_))));
-            (e.log().len(), e.log().denial_count())
-        };
-        let fast = run(e);
-        let mut g = PolicyGraph::enterprise_xyz();
-        g.user("alice");
-        g.user("bob");
-        g.assign("alice", "PM");
-        g.assign("bob", "AC");
-        let slow_engine = Engine::from_policy_gated(&g, Ts::ZERO, policy::VerifyGate::Off).unwrap();
-        assert_eq!(slow_engine.independent_event_count(), 0);
-        assert_eq!(run(slow_engine), fast);
-    }
-
-    #[test]
     fn observed_touches_stay_within_declared_footprints() {
         let mut e = xyz_engine();
         assert!(e.observed_touches().is_empty());
@@ -1250,8 +1175,7 @@ mod tests {
             e
         };
         let compiled = run(xyz_engine());
-        let mut interp = xyz_engine();
-        interp.set_compiled(false);
+        let interp = Engine::interpreted(xyz_engine().policy(), Ts::ZERO).unwrap();
         assert!(!interp.compiled_active());
         let interp = run(interp);
         assert_eq!(
@@ -1263,19 +1187,32 @@ mod tests {
     }
 
     #[test]
-    fn set_compiled_round_trips() {
-        let mut e = xyz_engine();
-        assert!(e.compiled_active());
-        e.set_compiled(false);
-        assert!(!e.compiled_active());
-        e.set_compiled(true);
-        assert!(e.compiled_active(), "license still holds, plan rebuilt");
+    fn the_oracle_never_lowers_and_a_restored_engine_lowers_on_first_use() {
+        let mut oracle = Engine::interpreted(xyz_engine().policy(), Ts::ZERO).unwrap();
+        assert!(oracle.proved_acyclic(), "same executor configuration");
+        assert_eq!(oracle.plan_text(), None);
+        let mut g2 = oracle.policy().clone();
+        g2.role("Auditor");
+        oracle.apply_policy(&g2).unwrap();
+        oracle.advance(Dur::from_secs(1)).unwrap();
+        assert!(!oracle.compiled_active(), "also across a policy change");
+        assert!(oracle.clone().plan_text().is_none());
+
+        // The plan is derived state: it is not stored, and comes back.
+        let e = xyz_engine();
+        let mut restored: Engine =
+            serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert!(!restored.compiled_active());
+        restored.advance(Dur::from_secs(1)).unwrap();
+        assert!(restored.compiled_active());
+        assert_eq!(restored.plan_text(), e.clone().plan_text());
     }
 
     #[test]
     fn record_effects_routes_to_interpreter() {
-        // Effect recording only exists on the interpreter; with the plan
-        // armed the engine must still accumulate touches.
+        // Effects are recorded by the interpreter, which the executor falls
+        // back to by itself; with the plan armed the engine must still
+        // accumulate touches.
         let mut e = xyz_engine();
         assert!(e.compiled_active());
         e.record_effects(true);
@@ -1293,11 +1230,6 @@ mod tests {
         assert!(plan.starts_with("compiled plan:"), "{plan}");
         assert!(plan.contains("on checkAccess"), "{plan}");
         assert!(plan.contains("rule CA"), "{plan}");
-        // Disabled -> no plan text; re-enabled -> identical text.
-        e.set_compiled(false);
-        assert_eq!(e.plan_text(), None);
-        e.set_compiled(true);
-        assert_eq!(e.plan_text().unwrap(), plan);
     }
 
     #[test]

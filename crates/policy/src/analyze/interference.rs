@@ -6,11 +6,12 @@
 //! change the outcome. The connected components of the interference graph
 //! are **commutativity classes**: rules in different classes touch
 //! disjoint (or read-only-shared) state and may be dispatched in any
-//! order, which licenses
+//! order. Two certificates are derived from the footprints:
 //!
-//! * the executor's `assume_independent` fast path (per *event*: every
-//!   rule the event triggers must be unable to toggle rule enablement,
-//!   even transitively — see [`EffectReport::independent_event_ids`]);
+//! * per *event*, [`EffectReport::independent_events`]: every rule the
+//!   event triggers is unable to toggle rule enablement, even
+//!   transitively. Analyzer output only — the executor reads enablement
+//!   live before every rule and needs no certificate for it;
 //! * shard placement: [`EffectReport::cross_user_footprints`] lists the
 //!   rules whose state genuinely spans users and therefore cannot be
 //!   confined to a per-user shard.
@@ -26,7 +27,7 @@ use super::{DiagCode, Diagnostic, Severity};
 use sentinel::{Footprint, Region, RulePool, Target};
 use serde::{Deserialize, Serialize};
 use snoop::{Detector, EventId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The declared effect of one rule: what it may touch on its own and
 /// through every synchronous cascade it can start.
@@ -55,9 +56,10 @@ pub struct EffectReport {
     /// graph; the graph itself is re-derivable from `effects`).
     pub interference_edges: usize,
     /// Labels of the events whose triggered rules are certified
-    /// independence-safe: none of them can reach a rule-toggle write (or
-    /// an opaque effect) even transitively, so the executor may snapshot
-    /// the triggered set once per occurrence. Sorted.
+    /// independence-safe: none of them — enabled or not, since a cascade
+    /// could re-enable them — can reach a rule-toggle write (or an opaque
+    /// effect) even transitively, so the set of rules such an event runs
+    /// is fixed before its first rule does. Sorted.
     pub independent_events: Vec<String>,
 }
 
@@ -99,26 +101,6 @@ impl EffectReport {
             .collect()
     }
 
-    /// The machine-consumable form of `independent_events`: the event ids
-    /// (in `pool`) every one of whose triggered rules — enabled or not,
-    /// since a cascade could re-enable them — has a non-opaque effective
-    /// footprint free of rule-toggle writes. Rules missing from the
-    /// report (a stale report against a regenerated pool) disqualify
-    /// their event.
-    pub fn independent_event_ids(&self, pool: &RulePool) -> BTreeSet<EventId> {
-        let mut by_event: BTreeMap<EventId, bool> = BTreeMap::new();
-        for (_, rule) in pool.iter() {
-            let ok = self
-                .effect_of(&rule.name)
-                .is_some_and(|e| toggle_free(&e.effective));
-            *by_event.entry(rule.event).or_insert(true) &= ok;
-        }
-        by_event
-            .into_iter()
-            .filter_map(|(e, ok)| ok.then_some(e))
-            .collect()
-    }
-
     /// One-line summary, e.g.
     /// `23 rules in 4 commutativity classes, 87 interfering pairs, 12 independent events`.
     pub fn summary(&self) -> String {
@@ -132,8 +114,7 @@ impl EffectReport {
     }
 }
 
-/// May this effective footprint reach a rule-enablement write? (The
-/// executor's batch-snapshot fast path is sound only when it cannot.)
+/// Can this effective footprint not reach a rule-enablement write?
 fn toggle_free(fp: &Footprint) -> bool {
     !fp.opaque && !fp.writes.contains(&Region::RuleToggles)
 }
@@ -438,11 +419,11 @@ mod tests {
             }]),
         );
         let report = compute(&d, &pool, &mut Vec::new());
-        assert_eq!(report.independent_events, vec!["a".to_string()]);
-        let ids = report.independent_event_ids(&pool);
-        assert!(ids.contains(&a));
-        assert!(!ids.contains(&b));
-        assert!(!ids.contains(&c), "toggle reach is transitive");
+        assert_eq!(
+            report.independent_events,
+            vec!["a".to_string()],
+            "not b, and not c: toggle reach is transitive"
+        );
     }
 
     #[test]

@@ -1,35 +1,39 @@
 //! Compilation of a verified rule pool into a flat execution plan.
 //!
-//! The interpreter in [`crate::executor`] walks `CondExpr`/`ActionSpec`
-//! trees and re-resolves names, hierarchy closures and SoD sets on every
-//! firing. This module lowers a pool into a [`CompiledPool`]: per-event
-//! dispatch tables of pre-resolved rule indices (priority order preserved),
+//! The interpreter in [`crate::executor`] walks `CondExpr` trees and
+//! re-resolves names, hierarchy closures and SoD sets on every firing.
+//! This module lowers a pool into a [`CompiledPool`]: per-event dispatch
+//! tables of pre-resolved rule indices (priority order preserved),
 //! conditions flattened into a small accumulator bytecode ([`CondOp`]),
-//! parameter references pre-parsed ([`CRef`]), raised events pre-resolved
-//! to [`EventId`]s, and — where the [`CompileHost`] can prove the targets
-//! fixed — hierarchy ancestor closures and DSD sets baked into dense
-//! arrays.
+//! raised and cancelled events pre-resolved to [`EventId`]s, and — where
+//! the [`CompileHost`] can prove the targets fixed — hierarchy ancestor
+//! closures and DSD sets baked into dense arrays.
 //!
-//! **Decision identity is the contract**: for every occurrence the
-//! compiled fast path must produce the same decisions, the same
-//! [`crate::ExecReport`] counters and byte-identical audit entries as the
-//! interpreter. Every error message format below is copied from
-//! `executor.rs` verbatim; any change there must be mirrored here (the
-//! equivalence proptests and the simulator's `CompiledDivergence`
-//! invariant enforce this).
+//! The plan has no rule language of its own. A compiled rule's actions
+//! are the pool's [`ActionSpec`]s, and a check that pre-binds nothing is
+//! the pool's [`Check`] ([`CCheck::Plain`]). One cascade driver
+//! ([`crate::executor::Executor`]) runs either form: this module only
+//! says how a plan yields an occurrence's rules and how a lowered
+//! condition is evaluated.
+//!
+//! **Decision identity is the contract**: for every occurrence the plan
+//! must produce the same decisions, the same [`crate::ExecReport`]
+//! counters and byte-identical audit entries as the interpreter, which is
+//! the oracle the equivalence proptests and the simulator's
+//! `CompiledDivergence` invariant compare it against.
 //!
 //! Compilation is *licensed*: callers may only lower a pool that static
 //! analysis proved terminating and error-free (`policy::compile_pool`
 //! checks the verdict). A pool that fails to compile simply keeps running
 //! interpreted — the plan is an optimization, never a semantic gate.
 
-use crate::executor::{ExecReport, Executor, Runtime};
+use crate::effect::Region;
+use crate::executor::{eval_check, id_arg, RuleSource, Triggered};
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
-use crate::log::{AuditEntry, AuditKind};
 use crate::pool::RulePool;
-use crate::rule::{RuleClass, RuleId};
-use crate::state::{ActionOutcome, AuthState};
-use snoop::{Detection, Detector, DetectorError, Dur, EventId, Key, Occurrence, Params, Ts, Value};
+use crate::rule::RuleId;
+use crate::state::AuthState;
+use snoop::{Detector, EventId, Occurrence};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -86,58 +90,6 @@ impl CompileHost for NoBake {
     }
 }
 
-/// A compiled [`ParamRef`]: literals carry their value, parameters their
-/// name. `Display` matches [`ParamRef`] exactly — runtime error messages
-/// interpolate these and must stay byte-identical to the interpreter's.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CRef {
-    /// Literal integer (entity id).
-    Lit(i64),
-    /// Named parameter of the triggering occurrence.
-    Param(String),
-    /// Literal string.
-    Str(String),
-}
-
-impl CRef {
-    fn lower(p: &ParamRef) -> CRef {
-        match p {
-            ParamRef::Param(n) => CRef::Param(n.clone()),
-            ParamRef::Int(i) => CRef::Lit(*i),
-            ParamRef::Str(s) => CRef::Str(s.clone()),
-        }
-    }
-
-    /// Resolve to a value (mirror of [`ParamRef::resolve`]).
-    pub fn resolve(&self, occ: &Occurrence) -> Option<Value> {
-        match self {
-            CRef::Param(name) => occ.params.get(name).cloned(),
-            CRef::Lit(i) => Some(Value::Int(*i)),
-            CRef::Str(s) => Some(Value::Str(s.clone())),
-        }
-    }
-
-    /// Resolve to an integer id without cloning string values (mirror of
-    /// [`ParamRef::resolve_int`], which only succeeds on `Int` anyway).
-    pub fn resolve_int(&self, occ: &Occurrence) -> Option<i64> {
-        match self {
-            CRef::Lit(i) => Some(*i),
-            CRef::Param(name) => occ.params.get(name).and_then(Value::as_int),
-            CRef::Str(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for CRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CRef::Param(n) => write!(f, "{n}"),
-            CRef::Lit(i) => write!(f, "{i}"),
-            CRef::Str(s) => write!(f, "{s:?}"),
-        }
-    }
-}
-
 /// One opcode of the condition bytecode. Evaluation runs a single boolean
 /// accumulator over a flat instruction array; jump targets are absolute
 /// instruction indices. Lowering preserves the interpreter's evaluation
@@ -168,155 +120,43 @@ pub struct DsdSetBaked {
     pub n: usize,
 }
 
-/// A pre-bound [`Check`]. Generic variants mirror the interpreter's
-/// one-to-one; `AuthorizedBaked`/`DsdBaked` replace monitor-side closure
-/// recomputation with dense arrays when the role was a literal the
-/// [`CompileHost`] could resolve at compile time.
+/// A check as the plan evaluates it: the pool's own, or one of the three
+/// forms that pre-bind something the interpreter looks up per firing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CCheck {
-    /// `user IN userL`
-    UserExists(CRef),
-    /// `sessionId IN sessionL`
-    SessionExists(CRef),
-    /// Session ownership.
-    SessionOwnedBy {
-        /// The session.
-        session: CRef,
-        /// The claimed owner.
-        user: CRef,
-    },
-    /// Role not already active in the session.
-    RoleNotActive {
-        /// The session.
-        session: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Role active in the session.
-    RoleActive {
-        /// The session.
-        session: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Direct UA assignment.
-    Assigned {
-        /// The user.
-        user: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Assignment via hierarchy, generic form.
-    Authorized {
-        /// The user.
-        user: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Assignment via hierarchy with the ancestor closure baked: the user
-    /// is authorized iff directly assigned to any listed role.
-    AuthorizedBaked {
-        /// The user.
-        user: CRef,
-        /// The role itself plus its seniors closure.
-        roles: Box<[i64]>,
-    },
-    /// DSD satisfaction, generic form.
-    DsdSatisfied {
-        /// The session.
-        session: CRef,
-        /// The candidate role.
-        role: CRef,
-    },
-    /// DSD satisfaction with the role's sets baked.
-    DsdBaked {
-        /// The session.
-        session: CRef,
-        /// Sets the candidate role participates in.
-        sets: Box<[DsdSetBaked]>,
-    },
-    /// Role enabled (temporal RBAC).
-    RoleEnabled(CRef),
-    /// Role active in at least one session.
-    RoleActiveAnywhere(CRef),
-    /// Role-cardinality bound.
-    RoleCardinalityBelow {
-        /// The role.
-        role: CRef,
-        /// The activating user.
-        user: CRef,
-        /// Maximum distinct active users.
-        max: usize,
-    },
-    /// User-cardinality bound.
-    UserCardinalityBelow {
-        /// The user.
-        user: CRef,
-        /// The role being added.
-        role: CRef,
-        /// Maximum active roles.
-        max: usize,
-    },
-    /// Per-user active-role cap looked up in the state.
-    UserCapOk {
-        /// The user.
-        user: CRef,
-        /// The role being added.
-        role: CRef,
-    },
-    /// Some active role of the session holds (op, obj).
-    SessionHasPermission {
-        /// The session.
-        session: CRef,
-        /// The operation.
-        op: CRef,
-        /// The object.
-        obj: CRef,
-    },
-    /// Source test with the event pre-resolved.
+    /// Nothing to pre-bind: evaluated exactly as the interpreter does.
+    Plain(Check),
+    /// [`Check::SourceIs`] with the event pre-resolved.
     SourceIs {
         /// The resolved event.
         id: EventId,
         /// The event name (plan listings only).
         name: String,
     },
-    /// Occurrence parameter equals a value.
-    ParamEquals {
-        /// Parameter name.
-        name: String,
-        /// Expected value.
-        value: Value,
+    /// [`Check::Authorized`] with the ancestor closure baked: the user is
+    /// authorized iff directly assigned to any listed role.
+    AuthorizedBaked {
+        /// The user.
+        user: ParamRef,
+        /// The role itself plus its seniors closure.
+        roles: Box<[i64]>,
     },
-    /// Host-defined check.
-    Custom {
-        /// Host-registered check name.
-        name: String,
-        /// Arguments.
-        args: Vec<CRef>,
+    /// [`Check::DsdSatisfied`] with the role's sets baked.
+    DsdBaked {
+        /// The session.
+        session: ParamRef,
+        /// Sets the candidate role participates in.
+        sets: Box<[DsdSetBaked]>,
     },
 }
 
 impl fmt::Display for CCheck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CCheck::UserExists(u) => write!(f, "({u} IN userL)"),
-            CCheck::SessionExists(s) => write!(f, "({s} IN sessionL)"),
-            CCheck::SessionOwnedBy { session, user } => {
-                write!(f, "({session} IN checkUserSessions({user}))")
-            }
-            CCheck::RoleNotActive { session, role } => {
-                write!(f, "({role} NOT IN checkSessionRoles({session}))")
-            }
-            CCheck::RoleActive { session, role } => {
-                write!(f, "({role} IN checkSessionRoles({session}))")
-            }
-            CCheck::Assigned { user, role } => write!(f, "(checkAssigned({user}, {role}))"),
-            CCheck::Authorized { user, role } => write!(f, "(checkAuthorization({user}, {role}))"),
+            CCheck::Plain(c) => write!(f, "{c}"),
+            CCheck::SourceIs { id, name } => write!(f, "(source == {name} #{})", id.0),
             CCheck::AuthorizedBaked { user, roles } => {
                 write!(f, "(checkAuthorization*({user}, roles{roles:?}))")
-            }
-            CCheck::DsdSatisfied { session, role } => {
-                write!(f, "(checkDynamicSoDSet({session}, {role}))")
             }
             CCheck::DsdBaked { session, sets } => {
                 write!(f, "(checkDynamicSoDSet*({session}")?;
@@ -325,168 +165,15 @@ impl fmt::Display for CCheck {
                 }
                 write!(f, "))")
             }
-            CCheck::RoleEnabled(r) => write!(f, "(checkEnabled({r}))"),
-            CCheck::RoleActiveAnywhere(r) => write!(f, "(checkActive({r}))"),
-            CCheck::RoleCardinalityBelow { role, max, .. } => {
-                write!(f, "(Cardinality({role}, INCR) <= {max})")
-            }
-            CCheck::UserCardinalityBelow { user, max, .. } => {
-                write!(f, "(UserCardinality({user}, INCR) <= {max})")
-            }
-            CCheck::UserCapOk { user, role } => write!(f, "(UserCapOk({user}, {role}))"),
-            CCheck::SessionHasPermission { session, op, obj } => write!(
-                f,
-                "(ForANY role IN getSessionRoles({session}): checkPermissions({op}, {obj}, role))"
-            ),
-            CCheck::SourceIs { id, name } => write!(f, "(source == {name} #{})", id.0),
-            CCheck::ParamEquals { name, value } => write!(f, "({name} == {value})"),
-            CCheck::Custom { name, args } => {
-                write!(f, "({name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, "))")
-            }
         }
     }
 }
 
-/// A pre-bound [`ActionSpec`]. Event-raising actions carry the resolved
-/// [`EventId`] plus the original name (error messages interpolate the
-/// name and must stay byte-identical to the interpreter's).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CAction {
-    /// Record an explicit allow.
-    Allow,
-    /// Deny with a message.
-    RaiseError(String),
-    /// Alert the administrators.
-    Alert(String),
-    /// Raise a primitive event (cascade), pre-resolved.
-    RaiseEvent {
-        /// The resolved event.
-        id: EventId,
-        /// The event name (for error messages).
-        name: String,
-        /// `(target param name, source)` pairs.
-        params: Vec<(Key, CRef)>,
-    },
-    /// Cancel pending PLUS timers, pre-resolved.
-    CancelPlus {
-        /// The resolved PLUS event.
-        id: EventId,
-        /// Parameter matched between base and current occurrence.
-        key_param: String,
-    },
-    /// Disable all rules of a class.
-    DisableRuleClass(RuleClass),
-    /// Enable all rules of a class.
-    EnableRuleClass(RuleClass),
-    /// Disable one rule by name.
-    DisableRule(String),
-    /// Enable one rule by name.
-    EnableRule(String),
-    /// Activate a role in a session.
-    AddSessionRole {
-        /// The user.
-        user: CRef,
-        /// The session.
-        session: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Deactivate a role in a session.
-    DropSessionRole {
-        /// The user.
-        user: CRef,
-        /// The session.
-        session: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Deactivate a role in every session.
-    DeactivateRoleEverywhere(CRef),
-    /// Enable a role.
-    EnableRole(CRef),
-    /// Disable a role.
-    DisableRole {
-        /// The role.
-        role: CRef,
-        /// Also deactivate it in open sessions.
-        deactivate: bool,
-    },
-    /// Assign a user to a role.
-    AssignUser {
-        /// The user.
-        user: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Deassign a user from a role.
-    DeassignUser {
-        /// The user.
-        user: CRef,
-        /// The role.
-        role: CRef,
-    },
-    /// Host-defined action.
-    Custom {
-        /// Host-registered action name.
-        name: String,
-        /// Arguments.
-        args: Vec<CRef>,
-    },
-}
+/// An action list of a compiled rule: the pool's actions, each with the
+/// event it raises or cancels (if it does) resolved against the detector.
+pub type BoundActions = Box<[(ActionSpec, Option<EventId>)]>;
 
-impl fmt::Display for CAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CAction::AddSessionRole { session, role, .. } => {
-                write!(f, "addSessionRole({session}, {role})")
-            }
-            CAction::DropSessionRole { session, role, .. } => {
-                write!(f, "dropSessionRole({session}, {role})")
-            }
-            CAction::DeactivateRoleEverywhere(r) => write!(f, "deactivateRoleEverywhere({r})"),
-            CAction::EnableRole(r) => write!(f, "enableRole({r})"),
-            CAction::DisableRole { role, deactivate } => {
-                if *deactivate {
-                    write!(f, "disableRole({role}, deactivate)")
-                } else {
-                    write!(f, "disableRole({role})")
-                }
-            }
-            CAction::AssignUser { user, role } => write!(f, "assignUser({user}, {role})"),
-            CAction::DeassignUser { user, role } => write!(f, "deassignUser({user}, {role})"),
-            CAction::Allow => write!(f, "<allow>"),
-            CAction::RaiseError(m) => write!(f, "raise error {m:?}"),
-            CAction::RaiseEvent { id, name, .. } => write!(f, "raiseEvent({name} #{})", id.0),
-            CAction::CancelPlus { id, key_param } => {
-                write!(f, "cancelPlus(#{}, by {key_param})", id.0)
-            }
-            CAction::Alert(m) => write!(f, "alert({m:?})"),
-            CAction::DisableRuleClass(c) => write!(f, "disableRules({c})"),
-            CAction::EnableRuleClass(c) => write!(f, "enableRules({c})"),
-            CAction::DisableRule(n) => write!(f, "disableRule({n})"),
-            CAction::EnableRule(n) => write!(f, "enableRule({n})"),
-            CAction::Custom { name, args } => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-        }
-    }
-}
-
-/// One rule lowered into bytecode + pre-bound actions. Enablement is NOT
+/// One rule lowered into bytecode + bound actions. Enablement is NOT
 /// baked: the executor reads the live pool entry per firing, exactly like
 /// the interpreter, so `disableRule`/class toggles keep working without
 /// invalidating the plan.
@@ -503,9 +190,9 @@ pub struct CompiledRule {
     /// Check table referenced by [`CondOp::Check`].
     pub checks: Box<[CCheck]>,
     /// Then actions.
-    pub then: Box<[CAction]>,
+    pub then: BoundActions,
     /// Else actions.
-    pub otherwise: Box<[CAction]>,
+    pub otherwise: BoundActions,
 }
 
 /// The execution plan: per-event dispatch tables over a flat rule array.
@@ -543,10 +230,10 @@ pub fn compile(
             &mut checks,
             &mut when,
         )?;
-        let lower_actions = |specs: &[ActionSpec]| -> Result<Box<[CAction]>, CompileError> {
+        let bind = |specs: &[ActionSpec]| -> Result<BoundActions, CompileError> {
             specs
                 .iter()
-                .map(|a| lower_action(a, &rule.name, detector))
+                .map(|a| Ok((a.clone(), bound_event(a, &rule.name, detector)?)))
                 .collect()
         };
         index.insert(
@@ -559,8 +246,8 @@ pub fn compile(
             event: rule.event,
             when: when.into_boxed_slice(),
             checks: checks.into_boxed_slice(),
-            then: lower_actions(&rule.then)?,
-            otherwise: lower_actions(&rule.otherwise)?,
+            then: bind(&rule.then)?,
+            otherwise: bind(&rule.otherwise)?,
         });
     }
 
@@ -576,6 +263,16 @@ pub fn compile(
         *slot = table.into_boxed_slice();
     }
     Ok(CompiledPool { dispatch, rules })
+}
+
+/// Resolve `event` for `rule`, or say which rule names an unknown one.
+fn resolve(detector: &Detector, rule: &str, event: &str) -> Result<EventId, CompileError> {
+    detector
+        .lookup(event)
+        .ok_or_else(|| CompileError::UnknownEvent {
+            rule: rule.to_string(),
+            event: event.to_string(),
+        })
 }
 
 fn lower_cond(
@@ -661,208 +358,71 @@ fn lower_check(
     detector: &Detector,
     host: &dyn CompileHost,
 ) -> Result<CCheck, CompileError> {
-    Ok(match check {
-        Check::UserExists(u) => CCheck::UserExists(CRef::lower(u)),
-        Check::SessionExists(s) => CCheck::SessionExists(CRef::lower(s)),
-        Check::SessionOwnedBy { session, user } => CCheck::SessionOwnedBy {
-            session: CRef::lower(session),
-            user: CRef::lower(user),
-        },
-        Check::RoleNotActive { session, role } => CCheck::RoleNotActive {
-            session: CRef::lower(session),
-            role: CRef::lower(role),
-        },
-        Check::RoleActive { session, role } => CCheck::RoleActive {
-            session: CRef::lower(session),
-            role: CRef::lower(role),
-        },
-        Check::Assigned { user, role } => CCheck::Assigned {
-            user: CRef::lower(user),
-            role: CRef::lower(role),
-        },
-        Check::Authorized { user, role } => {
-            // Bake the ancestor closure when the role is a literal the
-            // host knows: `authorized(u, r)` ⇔ `u` directly assigned to
-            // `r` or any senior — a membership test over a fixed array.
-            match role {
-                ParamRef::Int(r) => match host.authorized_closure(*r) {
-                    Some(closure) => CCheck::AuthorizedBaked {
-                        user: CRef::lower(user),
-                        roles: closure.into_boxed_slice(),
-                    },
-                    None => CCheck::Authorized {
-                        user: CRef::lower(user),
-                        role: CRef::lower(role),
-                    },
-                },
-                _ => CCheck::Authorized {
-                    user: CRef::lower(user),
-                    role: CRef::lower(role),
-                },
-            }
-        }
-        Check::DsdSatisfied { session, role } => match role {
-            ParamRef::Int(r) => match host.dsd_sets(*r) {
-                Some(sets) => CCheck::DsdBaked {
-                    session: CRef::lower(session),
-                    sets: sets
-                        .into_iter()
-                        .map(|(roles, n)| DsdSetBaked {
-                            roles: roles.into_boxed_slice(),
-                            n,
-                        })
-                        .collect(),
-                },
-                None => CCheck::DsdSatisfied {
-                    session: CRef::lower(session),
-                    role: CRef::lower(role),
-                },
-            },
-            _ => CCheck::DsdSatisfied {
-                session: CRef::lower(session),
-                role: CRef::lower(role),
-            },
-        },
-        Check::RoleEnabled(r) => CCheck::RoleEnabled(CRef::lower(r)),
-        Check::RoleActiveAnywhere(r) => CCheck::RoleActiveAnywhere(CRef::lower(r)),
-        Check::RoleCardinalityBelow { role, user, max } => CCheck::RoleCardinalityBelow {
-            role: CRef::lower(role),
-            user: CRef::lower(user),
-            max: *max,
-        },
-        Check::UserCardinalityBelow { user, role, max } => CCheck::UserCardinalityBelow {
-            user: CRef::lower(user),
-            role: CRef::lower(role),
-            max: *max,
-        },
-        Check::UserCapOk { user, role } => CCheck::UserCapOk {
-            user: CRef::lower(user),
-            role: CRef::lower(role),
-        },
-        Check::SessionHasPermission { session, op, obj } => CCheck::SessionHasPermission {
-            session: CRef::lower(session),
-            op: CRef::lower(op),
-            obj: CRef::lower(obj),
-        },
-        Check::SourceIs(name) => {
-            let id = detector
-                .lookup(name)
-                .ok_or_else(|| CompileError::UnknownEvent {
-                    rule: rule.to_string(),
-                    event: name.clone(),
-                })?;
-            CCheck::SourceIs {
-                id,
-                name: name.clone(),
-            }
-        }
-        Check::ParamEquals { name, value } => CCheck::ParamEquals {
+    // Baking needs a literal role the host knows; anything else stays the
+    // pool's check.
+    let baked = match check {
+        // `authorized(u, r)` ⇔ `u` directly assigned to `r` or any senior
+        // — a membership test over a fixed array.
+        Check::Authorized {
+            user,
+            role: ParamRef::Int(r),
+        } => host
+            .authorized_closure(*r)
+            .map(|closure| CCheck::AuthorizedBaked {
+                user: user.clone(),
+                roles: closure.into_boxed_slice(),
+            }),
+        Check::DsdSatisfied {
+            session,
+            role: ParamRef::Int(r),
+        } => host.dsd_sets(*r).map(|sets| CCheck::DsdBaked {
+            session: session.clone(),
+            sets: sets
+                .into_iter()
+                .map(|(roles, n)| DsdSetBaked {
+                    roles: roles.into_boxed_slice(),
+                    n,
+                })
+                .collect(),
+        }),
+        Check::SourceIs(name) => Some(CCheck::SourceIs {
+            id: resolve(detector, rule, name)?,
             name: name.clone(),
-            value: value.clone(),
-        },
-        Check::Custom { name, args } => CCheck::Custom {
-            name: name.clone(),
-            args: args.iter().map(CRef::lower).collect(),
-        },
-    })
+        }),
+        _ => None,
+    };
+    Ok(baked.unwrap_or_else(|| CCheck::Plain(check.clone())))
 }
 
-fn lower_action(
+/// The event an action raises or cancels, resolved.
+fn bound_event(
     action: &ActionSpec,
     rule: &str,
     detector: &Detector,
-) -> Result<CAction, CompileError> {
-    Ok(match action {
-        ActionSpec::Allow => CAction::Allow,
-        ActionSpec::RaiseError(m) => CAction::RaiseError(m.clone()),
-        ActionSpec::Alert(m) => CAction::Alert(m.clone()),
-        ActionSpec::RaiseEvent { event, params } => {
-            let id = detector
-                .lookup(event)
-                .ok_or_else(|| CompileError::UnknownEvent {
-                    rule: rule.to_string(),
-                    event: event.clone(),
-                })?;
-            CAction::RaiseEvent {
-                id,
-                name: event.clone(),
-                params: params
-                    .iter()
-                    .map(|(n, p)| (n.clone(), CRef::lower(p)))
-                    .collect(),
-            }
+) -> Result<Option<EventId>, CompileError> {
+    match action {
+        ActionSpec::RaiseEvent { event, .. } | ActionSpec::CancelPlus { event, .. } => {
+            resolve(detector, rule, event).map(Some)
         }
-        ActionSpec::CancelPlus { event, key_param } => {
-            let id = detector
-                .lookup(event)
-                .ok_or_else(|| CompileError::UnknownEvent {
-                    rule: rule.to_string(),
-                    event: event.clone(),
-                })?;
-            CAction::CancelPlus {
-                id,
-                key_param: key_param.clone(),
-            }
-        }
-        ActionSpec::DisableRuleClass(c) => CAction::DisableRuleClass(*c),
-        ActionSpec::EnableRuleClass(c) => CAction::EnableRuleClass(*c),
-        ActionSpec::DisableRule(n) => CAction::DisableRule(n.clone()),
-        ActionSpec::EnableRule(n) => CAction::EnableRule(n.clone()),
-        ActionSpec::AddSessionRole {
-            user,
-            session,
-            role,
-        } => CAction::AddSessionRole {
-            user: CRef::lower(user),
-            session: CRef::lower(session),
-            role: CRef::lower(role),
-        },
-        ActionSpec::DropSessionRole {
-            user,
-            session,
-            role,
-        } => CAction::DropSessionRole {
-            user: CRef::lower(user),
-            session: CRef::lower(session),
-            role: CRef::lower(role),
-        },
-        ActionSpec::DeactivateRoleEverywhere(r) => {
-            CAction::DeactivateRoleEverywhere(CRef::lower(r))
-        }
-        ActionSpec::EnableRole(r) => CAction::EnableRole(CRef::lower(r)),
-        ActionSpec::DisableRole { role, deactivate } => CAction::DisableRole {
-            role: CRef::lower(role),
-            deactivate: *deactivate,
-        },
-        ActionSpec::AssignUser { user, role } => CAction::AssignUser {
-            user: CRef::lower(user),
-            role: CRef::lower(role),
-        },
-        ActionSpec::DeassignUser { user, role } => CAction::DeassignUser {
-            user: CRef::lower(user),
-            role: CRef::lower(role),
-        },
-        ActionSpec::Custom { name, args } => CAction::Custom {
-            name: name.clone(),
-            args: args.iter().map(CRef::lower).collect(),
-        },
-    })
+        _ => Ok(None),
+    }
 }
 
-/// Evaluate condition bytecode. Mirrors `eval_cond_rec` including error
-/// texts; short-circuited checks are never evaluated.
+/// Evaluate condition bytecode: same evaluation order, short-circuiting
+/// and error propagation as the interpreter's tree walk.
 fn eval_compiled_cond(
     code: &[CondOp],
     checks: &[CCheck],
     occ: &Occurrence,
     state: &dyn AuthState,
+    detector: &Detector,
 ) -> Result<bool, String> {
     let mut acc = false;
     let mut pc = 0usize;
     while let Some(op) = code.get(pc) {
         match *op {
             CondOp::Push(b) => acc = b,
-            CondOp::Check(i) => acc = eval_ccheck(&checks[i as usize], occ, state)?,
+            CondOp::Check(i) => acc = eval_ccheck(&checks[i as usize], occ, state, detector)?,
             CondOp::Not => acc = !acc,
             CondOp::JumpIfFalse(t) => {
                 if !acc {
@@ -886,29 +446,20 @@ fn eval_compiled_cond(
     Ok(acc)
 }
 
-fn eval_ccheck(check: &CCheck, occ: &Occurrence, state: &dyn AuthState) -> Result<bool, String> {
-    let int = |p: &CRef| {
-        p.resolve_int(occ)
-            .ok_or_else(|| format!("parameter {p} missing or not an id in {occ}"))
-    };
+fn eval_ccheck(
+    check: &CCheck,
+    occ: &Occurrence,
+    state: &dyn AuthState,
+    detector: &Detector,
+) -> Result<bool, String> {
     match check {
-        CCheck::UserExists(u) => Ok(state.user_exists(int(u)?)),
-        CCheck::SessionExists(s) => Ok(state.session_exists(int(s)?)),
-        CCheck::SessionOwnedBy { session, user } => {
-            Ok(state.session_owned_by(int(session)?, int(user)?))
-        }
-        CCheck::RoleNotActive { session, role } => {
-            Ok(!state.role_active(int(session)?, int(role)?))
-        }
-        CCheck::RoleActive { session, role } => Ok(state.role_active(int(session)?, int(role)?)),
-        CCheck::Assigned { user, role } => Ok(state.assigned(int(user)?, int(role)?)),
-        CCheck::Authorized { user, role } => Ok(state.authorized(int(user)?, int(role)?)),
-        CCheck::AuthorizedBaked { user, roles } => Ok(state.authorized_any(int(user)?, roles)),
-        CCheck::DsdSatisfied { session, role } => {
-            Ok(state.dsd_satisfied(int(session)?, int(role)?))
+        CCheck::Plain(c) => eval_check(c, occ, state, detector),
+        CCheck::SourceIs { id, .. } => Ok(occ.has_source(*id)),
+        CCheck::AuthorizedBaked { user, roles } => {
+            Ok(state.authorized_any(id_arg(user, occ)?, roles))
         }
         CCheck::DsdBaked { session, sets } => {
-            let s = int(session)?;
+            let s = id_arg(session, occ)?;
             // The monitor's check errors (= evaluates false through the
             // bridge) on an unknown session before consulting any set.
             if !state.session_exists(s) {
@@ -926,348 +477,50 @@ fn eval_ccheck(check: &CCheck, occ: &Occurrence, state: &dyn AuthState) -> Resul
             }
             Ok(true)
         }
-        CCheck::RoleEnabled(r) => Ok(state.role_enabled(int(r)?)),
-        CCheck::RoleActiveAnywhere(r) => Ok(state.role_active_anywhere(int(r)?)),
-        CCheck::RoleCardinalityBelow { role, user, max } => {
-            let r = int(role)?;
-            let u = int(user)?;
-            Ok(state.user_active_in_role(u, r) || state.active_users_of_role(r) < *max)
-        }
-        CCheck::UserCardinalityBelow { user, role, max } => {
-            let u = int(user)?;
-            let r = int(role)?;
-            Ok(state.user_active_in_role(u, r) || state.active_roles_of_user(u) < *max)
-        }
-        CCheck::UserCapOk { user, role } => Ok(state.user_cap_ok(int(user)?, int(role)?)),
-        CCheck::SessionHasPermission { session, op, obj } => {
-            Ok(state.session_has_permission(int(session)?, int(op)?, int(obj)?))
-        }
-        CCheck::SourceIs { id, .. } => Ok(occ.has_source(*id)),
-        CCheck::ParamEquals { name, value } => Ok(occ.params.get(name) == Some(value)),
-        CCheck::Custom { name, args } => {
-            let mut resolved = Vec::with_capacity(args.len());
-            for a in args {
-                resolved.push(int(a)?);
-            }
-            Ok(state.custom_check(name, &resolved, occ))
-        }
     }
 }
 
-impl Executor {
-    /// Raise a primitive event and run the triggered rules through the
-    /// compiled plan (fast-path twin of [`Executor::dispatch`]).
-    pub fn dispatch_compiled(
-        &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
+impl<'p> RuleSource for &'p CompiledPool {
+    type Rule = &'p CompiledRule;
+
+    fn next_enabled(
+        self,
+        pool: &RulePool,
         event: EventId,
-        params: Params,
-    ) -> Result<ExecReport, DetectorError> {
-        let detections = rt.detector.raise(event, params)?;
-        Ok(self.process_compiled(rt, plan, detections, 0))
-    }
-
-    /// Advance the clock through the compiled plan (fast-path twin of
-    /// [`Executor::advance_to`]).
-    pub fn advance_to_compiled(
-        &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
-        ts: Ts,
-    ) -> Result<ExecReport, DetectorError> {
-        let mut report = ExecReport::default();
-        while let Some(at) = rt.detector.next_timer_due().filter(|&at| at <= ts) {
-            let detections = rt.detector.advance_to(at)?;
-            report.absorb(self.process_compiled(rt, plan, detections, 0));
-        }
-        let detections = rt.detector.advance_to(ts)?;
-        report.absorb(self.process_compiled(rt, plan, detections, 0));
-        Ok(report)
-    }
-
-    /// Advance by a duration through the compiled plan.
-    pub fn advance_compiled(
-        &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
-        d: Dur,
-    ) -> Result<ExecReport, DetectorError> {
-        let now = rt.detector.now();
-        self.advance_to_compiled(rt, plan, now + d)
-    }
-
-    /// Run compiled rules for already-collected detections.
-    pub fn process_compiled(
-        &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
-        detections: Vec<Detection>,
-        depth: usize,
-    ) -> ExecReport {
-        // Effect recording keeps the interpreter's exact footprint shape;
-        // the engine routes such dispatches away from the compiled path.
-        debug_assert!(!self.record_effects, "compiled path records no effects");
-        let mut report = ExecReport::default();
-        for det in detections {
-            let occ = det.occurrence;
-            let Some(table) = plan.dispatch.get(occ.event.0 as usize) else {
-                continue;
-            };
-            for &ci in table.iter() {
-                let crule = &plan.rules[ci as usize];
-                // Enablement is read live from the pool slot, exactly like
-                // the interpreter's per-rule fetch.
-                if !rt.pool.get(crule.pool_id).is_some_and(|r| r.enabled) {
-                    continue;
-                }
-                let sub = self.run_compiled_rule(rt, plan, crule, &occ, depth);
-                let denied = !sub.denials.is_empty();
-                report.absorb(sub);
-                if denied {
-                    break;
-                }
+        next: &mut usize,
+    ) -> Option<&'p CompiledRule> {
+        let table = self.dispatch.get(event.0 as usize)?;
+        while let Some(&ci) = table.get(*next) {
+            *next += 1;
+            let rule = &self.rules[ci as usize];
+            if pool.get(rule.pool_id).is_some_and(|r| r.enabled) {
+                return Some(rule);
             }
         }
-        report
+        None
+    }
+}
+
+impl Triggered for &CompiledRule {
+    fn name(&self) -> &Arc<str> {
+        &self.name
     }
 
-    fn run_compiled_rule(
+    /// `sink` stays empty: the executor interprets while effects are
+    /// recorded (footprints are declared over the rule language).
+    fn holds(
         &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
-        crule: &CompiledRule,
         occ: &Occurrence,
-        depth: usize,
-    ) -> ExecReport {
-        let mut report = ExecReport {
-            max_depth: depth,
-            ..ExecReport::default()
-        };
-        let cond = match eval_compiled_cond(&crule.when, &crule.checks, occ, rt.state) {
-            Ok(b) => b,
-            Err(msg) => {
-                let m = format!("condition error in {}: {msg}", crule.name);
-                rt.log.push(AuditEntry {
-                    time: rt.detector.now(),
-                    kind: AuditKind::EngineError,
-                    rule: Some(Arc::clone(&crule.name)),
-                    event: Some(occ.event),
-                    message: m.clone(),
-                });
-                report.errors.push(m);
-                false
-            }
-        };
-        let (actions, kind) = if cond {
-            report.fired += 1;
-            (&crule.then, AuditKind::Fired)
-        } else {
-            report.else_taken += 1;
-            (&crule.otherwise, AuditKind::ElseTaken)
-        };
-        rt.log.push(AuditEntry {
-            time: rt.detector.now(),
-            kind,
-            rule: Some(Arc::clone(&crule.name)),
-            event: Some(occ.event),
-            message: String::new(),
-        });
-        for action in actions.iter() {
-            let before = report.denials.len();
-            let sub = self.run_compiled_action(rt, plan, crule, action, occ, depth);
-            report.absorb(sub);
-            if report.denials.len() > before {
-                break;
-            }
-        }
-        report
+        state: &dyn AuthState,
+        detector: &Detector,
+        _sink: Option<&mut Vec<Region>>,
+    ) -> Result<bool, String> {
+        eval_compiled_cond(&self.when, &self.checks, occ, state, detector)
     }
 
-    fn run_compiled_action(
-        &self,
-        rt: &mut Runtime<'_>,
-        plan: &CompiledPool,
-        crule: &CompiledRule,
-        action: &CAction,
-        occ: &Occurrence,
-        depth: usize,
-    ) -> ExecReport {
-        let mut report = ExecReport::default();
-        let now = rt.detector.now();
-        let log_entry = |rt: &mut Runtime<'_>, kind: AuditKind, message: String| {
-            rt.log.push(AuditEntry {
-                time: now,
-                kind,
-                rule: Some(Arc::clone(&crule.name)),
-                event: Some(occ.event),
-                message,
-            });
-        };
-        // Resolve an integer argument or record an engine error
-        // (byte-identical to the interpreter's `arg!`).
-        macro_rules! arg {
-            ($p:expr) => {
-                match $p.resolve_int(occ) {
-                    Some(v) => v,
-                    None => {
-                        let m = format!("rule {}: parameter {} missing in {}", crule.name, $p, occ);
-                        log_entry(rt, AuditKind::EngineError, m.clone());
-                        report.errors.push(m);
-                        return report;
-                    }
-                }
-            };
-        }
-        // Apply a monitor mutation (byte-identical to the interpreter's
-        // `apply`).
-        macro_rules! apply {
-            ($f:expr) => {{
-                let f: &mut dyn FnMut(&mut dyn AuthState) -> ActionOutcome = &mut $f;
-                match f(rt.state) {
-                    ActionOutcome::Done => report.mutations += 1,
-                    ActionOutcome::Rejected(m) => {
-                        report.denials.push(m.clone());
-                        log_entry(rt, AuditKind::ActionRejected, m);
-                    }
-                }
-            }};
-        }
-
-        match action {
-            CAction::Allow => {
-                report.allows += 1;
-                log_entry(rt, AuditKind::Allowed, String::new());
-            }
-            CAction::RaiseError(m) => {
-                report.denials.push(m.clone());
-                log_entry(rt, AuditKind::Denied, m.clone());
-            }
-            CAction::Alert(m) => {
-                report.alerts.push(m.clone());
-                log_entry(rt, AuditKind::Alert, m.clone());
-            }
-            CAction::RaiseEvent { id, name, params } => {
-                let event = name;
-                if !self.assume_acyclic && depth + 1 > self.max_cascade_depth {
-                    let m = format!(
-                        "rule {}: cascade depth {} exceeded raising {event}",
-                        crule.name, self.max_cascade_depth
-                    );
-                    log_entry(rt, AuditKind::EngineError, m.clone());
-                    report.errors.push(m);
-                    return report;
-                }
-                let mut p = Params::with_capacity(params.len());
-                for (name, src) in params {
-                    match src.resolve(occ) {
-                        Some(v) => p.set(name, v),
-                        None => {
-                            let m = format!(
-                                "rule {}: parameter {src} missing for raised event {event}",
-                                crule.name
-                            );
-                            log_entry(rt, AuditKind::EngineError, m.clone());
-                            report.errors.push(m);
-                            return report;
-                        }
-                    }
-                }
-                // Raise by the pre-resolved id: the detector's name table
-                // is append-only, so this is `raise_named` minus the
-                // lookup.
-                match rt.detector.raise(*id, p) {
-                    Ok(dets) => {
-                        let sub = self.process_compiled(rt, plan, dets, depth + 1);
-                        report.absorb(sub);
-                    }
-                    Err(e) => {
-                        let m = format!("rule {}: raise {event} failed: {e}", crule.name);
-                        log_entry(rt, AuditKind::EngineError, m.clone());
-                        report.errors.push(m);
-                    }
-                }
-            }
-            CAction::CancelPlus { id, key_param } => {
-                let key = occ.params.get(key_param).cloned();
-                let n = rt.detector.cancel_timers_where(*id, |base| {
-                    base.is_some_and(|b| b.params.get(key_param) == key.as_ref())
-                });
-                report.mutations += n;
-            }
-            CAction::DisableRuleClass(c) => {
-                let n = rt.pool.set_class_enabled(*c, false);
-                report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("disabled {n} {c} rules"));
-            }
-            CAction::EnableRuleClass(c) => {
-                let n = rt.pool.set_class_enabled(*c, true);
-                report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("enabled {n} {c} rules"));
-            }
-            CAction::DisableRule(name) => {
-                rt.pool.set_enabled(name, false);
-                report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("disabled rule {name}"));
-            }
-            CAction::EnableRule(name) => {
-                rt.pool.set_enabled(name, true);
-                report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("enabled rule {name}"));
-            }
-            CAction::AddSessionRole {
-                user,
-                session,
-                role,
-            } => {
-                let (u, s, r) = (arg!(user), arg!(session), arg!(role));
-                apply!(|st: &mut dyn AuthState| st.add_session_role(u, s, r));
-            }
-            CAction::DropSessionRole {
-                user,
-                session,
-                role,
-            } => {
-                let (u, s, r) = (arg!(user), arg!(session), arg!(role));
-                apply!(|st: &mut dyn AuthState| st.drop_session_role(u, s, r));
-            }
-            CAction::DeactivateRoleEverywhere(role) => {
-                let r = arg!(role);
-                apply!(|st: &mut dyn AuthState| st.deactivate_role_everywhere(r));
-            }
-            CAction::EnableRole(role) => {
-                let r = arg!(role);
-                apply!(|st: &mut dyn AuthState| st.enable_role(r));
-            }
-            CAction::DisableRole { role, deactivate } => {
-                let r = arg!(role);
-                let d = *deactivate;
-                apply!(|st: &mut dyn AuthState| st.disable_role(r, d));
-            }
-            CAction::AssignUser { user, role } => {
-                let (u, r) = (arg!(user), arg!(role));
-                apply!(|st: &mut dyn AuthState| st.assign_user(u, r));
-            }
-            CAction::DeassignUser { user, role } => {
-                let (u, r) = (arg!(user), arg!(role));
-                apply!(|st: &mut dyn AuthState| st.deassign_user(u, r));
-            }
-            CAction::Custom { name, args } => {
-                let mut resolved = Vec::with_capacity(args.len());
-                for a in args {
-                    resolved.push(arg!(a));
-                }
-                let outcome = rt.state.custom_action(name, &resolved, occ);
-                match outcome {
-                    ActionOutcome::Done => report.mutations += 1,
-                    ActionOutcome::Rejected(m) => {
-                        report.denials.push(m.clone());
-                        log_entry(rt, AuditKind::ActionRejected, m);
-                    }
-                }
-            }
-        }
-        report
+    fn actions(&self, then: bool) -> impl Iterator<Item = (&ActionSpec, Option<EventId>)> {
+        let list = if then { &self.then } else { &self.otherwise };
+        list.iter().map(|(a, id)| (a, *id))
     }
 }
 
@@ -1330,11 +583,20 @@ impl CompiledPool {
                 };
                 let _ = writeln!(out, "  w{i:<3} {line}");
             }
-            for a in rule.then.iter() {
-                let _ = writeln!(out, "  then {a}");
-            }
-            for a in rule.otherwise.iter() {
-                let _ = writeln!(out, "  else {a}");
+            for (arm, actions) in [("then", &rule.then), ("else", &rule.otherwise)] {
+                for (a, id) in actions.iter() {
+                    // The resolved id next to (for a cancel: in place of)
+                    // the name the pool's action carries.
+                    let _ = match (a, id) {
+                        (ActionSpec::RaiseEvent { event, .. }, Some(id)) => {
+                            writeln!(out, "  {arm} raiseEvent({event} #{})", id.0)
+                        }
+                        (ActionSpec::CancelPlus { key_param, .. }, Some(id)) => {
+                            writeln!(out, "  {arm} cancelPlus(#{}, by {key_param})", id.0)
+                        }
+                        _ => writeln!(out, "  {arm} {a}"),
+                    };
+                }
             }
         }
         out
@@ -1344,10 +606,11 @@ impl CompiledPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::attach_rule;
-    use crate::log::AuditLog;
-    use crate::rule::Rule;
+    use crate::executor::{attach_rule, ExecReport, Executor, Runtime};
+    use crate::log::{AuditEntry, AuditKind, AuditLog};
+    use crate::rule::{Rule, RuleClass};
     use crate::state::PermissiveState;
+    use snoop::{Dur, EventExpr, Params, Ts};
 
     fn lower_expr(cond: &CondExpr) -> (Vec<CondOp>, Vec<CCheck>) {
         let detector = Detector::new(Ts::ZERO);
@@ -1359,7 +622,7 @@ mod tests {
 
     fn eval(cond: &CondExpr, occ: &Occurrence, state: &dyn AuthState) -> Result<bool, String> {
         let (code, checks) = lower_expr(cond);
-        eval_compiled_cond(&code, &checks, occ, state)
+        eval_compiled_cond(&code, &checks, occ, state, &Detector::new(Ts::ZERO))
     }
 
     fn occ() -> Occurrence {
@@ -1484,80 +747,235 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compiled_dispatch_matches_interpreter_report_and_audit() {
-        // One denying guard + one applying rule + a cascade: the report
-        // counters and the audit log must be byte-identical on both paths.
-        let build = || {
-            let mut detector = Detector::new(Ts::ZERO);
-            let mut pool = RulePool::new();
-            let e = detector.primitive("req");
-            let _cascade = detector.primitive("go");
-            attach_rule(
-                &mut detector,
-                &mut pool,
-                Rule::new(
-                    "guard",
-                    e,
-                    CondExpr::check(Check::UserExists(ParamRef::param("user"))),
-                )
+    /// What one run of the scaffold leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        report: ExecReport,
+        mutations: Vec<String>,
+        audit: Vec<AuditEntry>,
+        enabled: Vec<(String, bool)>,
+    }
+
+    /// Run `then` as the actions of rule `r` (priority 10 on `req`), with
+    /// the plan or interpreted. Around it: `victim` (enabled) and `sleeper`
+    /// (disabled) also listen on `req`, below `r`, so a toggle by `r`
+    /// shows in the same occurrence; `go` is raisable and cascades into
+    /// one rule; `expire` names `open + 10s` — cancellable, not raisable —
+    /// and has one timer pending for session 2.
+    fn run(exec: &Executor, then: &[ActionSpec], params: &Params, planned: bool) -> Observed {
+        let mut detector = Detector::new(Ts::ZERO);
+        let mut pool = RulePool::new();
+        let req = detector.primitive("req");
+        let go = detector.primitive("go");
+        let open = detector.primitive("open");
+        let plus = EventExpr::plus(EventExpr::named("open"), Dur::from_secs(10));
+        let expire = detector.define(&plus).unwrap();
+        detector.name(expire, "expire").unwrap();
+        detector.watch(expire);
+        let alert = |m: &str| vec![ActionSpec::Alert(m.into())];
+        let mut sleeper = Rule::new("sleeper", req, CondExpr::True)
+            .class(RuleClass::Administrative)
+            .then(alert("sleeper ran"));
+        sleeper.enabled = false;
+        for rule in [
+            Rule::new("r", req, CondExpr::True)
                 .priority(10)
-                .otherwise(vec![ActionSpec::RaiseError("no user".into())]),
-            );
-            attach_rule(
-                &mut detector,
-                &mut pool,
-                Rule::new("apply", e, CondExpr::True).then(vec![
-                    ActionSpec::RaiseEvent {
-                        event: "go".into(),
-                        params: vec![("user".into(), ParamRef::param("user"))],
-                    },
-                    ActionSpec::Allow,
-                ]),
-            );
-            let go = detector.lookup("go").unwrap();
-            attach_rule(
-                &mut detector,
-                &mut pool,
-                Rule::new("cascaded", go, CondExpr::True).then(vec![ActionSpec::AddSessionRole {
-                    user: ParamRef::param("user"),
-                    session: ParamRef::Int(2),
-                    role: ParamRef::Int(5),
-                }]),
-            );
-            (detector, pool)
-        };
-        let exec = Executor::new();
-
-        for params in [Params::new().with("user", 1i64), Params::new()] {
-            let (mut d1, mut p1) = build();
-            let mut s1 = PermissiveState::default();
-            let mut l1 = AuditLog::new();
-            let e = d1.lookup("req").unwrap();
-            let mut rt = Runtime {
-                detector: &mut d1,
-                pool: &mut p1,
-                state: &mut s1,
-                log: &mut l1,
-            };
-            let interp = exec.dispatch(&mut rt, e, params.clone()).unwrap();
-
-            let (mut d2, mut p2) = build();
-            let plan = compile(&p2, &d2, &NoBake).unwrap();
-            let mut s2 = PermissiveState::default();
-            let mut l2 = AuditLog::new();
-            let mut rt = Runtime {
-                detector: &mut d2,
-                pool: &mut p2,
-                state: &mut s2,
-                log: &mut l2,
-            };
-            let compiled = exec.dispatch_compiled(&mut rt, &plan, e, params).unwrap();
-
-            assert_eq!(interp, compiled);
-            assert_eq!(s1.log, s2.log, "same mutations in the same order");
-            assert_eq!(l1.entries(), l2.entries(), "byte-identical audit");
+                .class(RuleClass::ActiveSecurity)
+                .then(then.to_vec()),
+            Rule::new("victim", req, CondExpr::True)
+                .class(RuleClass::ActivityControl)
+                .then(alert("victim ran")),
+            sleeper,
+            Rule::new("cascaded", go, CondExpr::True)
+                .class(RuleClass::ActiveSecurity)
+                .then(alert("cascaded")),
+        ] {
+            attach_rule(&mut detector, &mut pool, rule);
         }
+        let plan = planned.then(|| compile(&pool, &detector, &NoBake).unwrap());
+        let mut state = PermissiveState::default();
+        let mut log = AuditLog::new();
+        let mut rt = Runtime {
+            detector: &mut detector,
+            pool: &mut pool,
+            state: &mut state,
+            log: &mut log,
+            plan: plan.as_ref(),
+        };
+        exec.dispatch(&mut rt, open, Params::new().with("session", 2i64))
+            .unwrap();
+        let report = exec.dispatch(&mut rt, req, params.clone()).unwrap();
+        let mut enabled: Vec<(String, bool)> = pool
+            .iter()
+            .map(|(_, r)| (r.name.to_string(), r.enabled))
+            .collect();
+        enabled.sort();
+        Observed {
+            report,
+            mutations: state.log,
+            audit: log.entries().iter().cloned().collect(),
+            enabled,
+        }
+    }
+
+    /// Every action of the rule language and the ways an action fails,
+    /// through both evaluators of the one driver: same report, same
+    /// monitor calls, same audit entries, same pool afterwards.
+    #[test]
+    fn plan_and_interpreter_agree_on_every_action_and_error_path() {
+        use ActionSpec::*;
+        const QUIET: &[&str] = &["victim ran"];
+        let p = ParamRef::param;
+        let five = || ParamRef::Int(5);
+        let raise = |event: &str, params| RaiseEvent {
+            event: event.into(),
+            params,
+        };
+        let cancel = || CancelPlus {
+            event: "expire".into(),
+            key_param: "session".into(),
+        };
+        let full = Params::new().with("user", 1i64).with("session", 2i64);
+        let free = Executor::new();
+        let guarded = Executor {
+            max_cascade_depth: 0,
+            ..Executor::default()
+        };
+        let agree = |exec: &Executor, action: &ActionSpec, errors: usize, alerts: &[&str]| {
+            let then = std::slice::from_ref(action);
+            let planned = run(exec, then, &full, true);
+            assert_eq!(run(exec, then, &full, false), planned, "{action:?}");
+            assert_eq!(planned.report.alerts, alerts, "{action:?}");
+            let audited = planned.audit.iter();
+            let audited = audited.filter(|e| e.kind == AuditKind::EngineError);
+            assert_eq!(planned.report.errors.len(), errors, "{action:?}");
+            assert_eq!(audited.count(), errors, "{action:?}");
+        };
+
+        // Each action alone in `r`, and the alerts its occurrence raises.
+        let (user, session) = (p("user"), p("session"));
+        let actions: Vec<(ActionSpec, &[&str])> = vec![
+            (
+                AddSessionRole {
+                    user: user.clone(),
+                    session: session.clone(),
+                    role: five(),
+                },
+                QUIET,
+            ),
+            (
+                DropSessionRole {
+                    user: user.clone(),
+                    session,
+                    role: five(),
+                },
+                QUIET,
+            ),
+            (DeactivateRoleEverywhere(five()), QUIET),
+            (EnableRole(five()), QUIET),
+            (
+                DisableRole {
+                    role: five(),
+                    deactivate: true,
+                },
+                QUIET,
+            ),
+            (
+                AssignUser {
+                    user: user.clone(),
+                    role: five(),
+                },
+                QUIET,
+            ),
+            (
+                DeassignUser {
+                    user: user.clone(),
+                    role: five(),
+                },
+                QUIET,
+            ),
+            (Allow, QUIET),
+            // A denial skips every rule below `r`.
+            (RaiseError("no".into()), &[]),
+            (
+                raise("go", vec![("user".into(), user.clone())]),
+                &["cascaded", "victim ran"],
+            ),
+            (cancel(), QUIET),
+            (Alert("seen".into()), &["seen", "victim ran"]),
+            (DisableRuleClass(RuleClass::ActivityControl), &[]),
+            (
+                EnableRuleClass(RuleClass::Administrative),
+                &["victim ran", "sleeper ran"],
+            ),
+            (DisableRule("victim".into()), &[]),
+            (EnableRule("sleeper".into()), &["victim ran", "sleeper ran"]),
+            (
+                Custom {
+                    name: "notify".into(),
+                    args: vec![user, five()],
+                },
+                QUIET,
+            ),
+        ];
+        for (action, alerts) in &actions {
+            agree(&free, action, 0, alerts);
+        }
+
+        // One engine error each, and the occurrence goes on: a parameter
+        // the occurrence lacks, for an argument and for a raised event;
+        // the depth guard; an event the detector resolves but will not
+        // raise.
+        let ghost = vec![("user".into(), p("ghost"))];
+        agree(&free, &EnableRole(p("ghost")), 1, QUIET);
+        agree(&free, &raise("go", ghost), 1, QUIET);
+        agree(&guarded, &raise("go", vec![]), 1, QUIET);
+        agree(&free, &raise("expire", vec![]), 1, QUIET);
+
+        // The cancel found the pending timer through the resolved id.
+        assert_eq!(run(&free, &[cancel()], &full, true).report.mutations, 1);
+        let other = Params::new().with("session", 3i64);
+        assert_eq!(run(&free, &[cancel()], &other, true).report.mutations, 0);
+    }
+
+    /// The driver takes rules from the plan it is handed — an empty one
+    /// fires nothing — except while effects are recorded: then it
+    /// interprets the pool, whatever the plan says.
+    #[test]
+    fn driver_runs_the_plan_unless_effects_are_recorded() {
+        let mut detector = Detector::new(Ts::ZERO);
+        let mut pool = RulePool::new();
+        let e = detector.primitive("e");
+        let rule = Rule::new(
+            "r",
+            e,
+            CondExpr::check(Check::UserExists(ParamRef::param("user"))),
+        )
+        .then(vec![ActionSpec::EnableRole(ParamRef::Int(3))]);
+        attach_rule(&mut detector, &mut pool, rule);
+        let empty = CompiledPool::default();
+        let mut dispatch = |exec: &Executor, plan| {
+            let mut rt = Runtime {
+                detector: &mut detector,
+                pool: &mut pool,
+                state: &mut PermissiveState::default(),
+                log: &mut AuditLog::new(),
+                plan,
+            };
+            exec.dispatch(&mut rt, e, Params::new().with("user", 1i64))
+                .unwrap()
+        };
+        let plain = Executor::new();
+        assert_eq!(dispatch(&plain, Some(&empty)).fired, 0);
+        assert_eq!(dispatch(&plain, None).fired, 1);
+        let recording = Executor {
+            record_effects: true,
+            ..Executor::default()
+        };
+        let recorded = dispatch(&recording, Some(&empty));
+        assert_eq!(recorded.fired, 1);
+        assert!(!recorded.touches.is_empty());
+        assert_eq!(recorded, dispatch(&recording, None));
     }
 
     #[test]
@@ -1594,6 +1012,9 @@ mod tests {
             Params::new().with("user", 7i64).with("session", 2i64),
         );
         // PermissiveState: session exists, authorized_any -> assigned -> true.
-        assert_eq!(eval_compiled_cond(&code, &checks, &o, &state), Ok(true));
+        assert_eq!(
+            eval_compiled_cond(&code, &checks, &o, &state, &detector),
+            Ok(true)
+        );
     }
 }

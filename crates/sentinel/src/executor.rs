@@ -8,16 +8,22 @@
 //! `addSessionRoleR1` → CC₁, Rule 8's CFD pair, Rule 9's transaction-based
 //! activation) — which are processed in the same dispatch up to a depth
 //! limit.
+//!
+//! There is one cascade driver. It is generic over where an occurrence's
+//! rules come from (`RuleSource`): the pool, whose condition trees it
+//! walks — the *interpreter*, the reference — or the plan
+//! [`crate::compile`] lowered the pool into. [`Executor::process`] picks
+//! between the two from what the [`Runtime`] carries.
 
+use crate::compile::CompiledPool;
 use crate::effect::{action_footprint, check_footprint, runtime_target, Access, Region, RuleTouch};
-use crate::lang::{ActionSpec, Check, CondExpr};
+use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::log::{AuditEntry, AuditKind, AuditLog};
 use crate::pool::RulePool;
 use crate::rule::Rule;
 use crate::state::{ActionOutcome, AuthState};
 use serde::{Deserialize, Serialize};
 use snoop::{Detection, Detector, DetectorError, Dur, EventId, Occurrence, Params, Ts};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Outcome of one dispatch (an external event plus everything it cascaded
@@ -58,34 +64,14 @@ impl ExecReport {
     pub fn denied(&self) -> bool {
         !self.denials.is_empty()
     }
-
-    /// Merge a sub-report (cascade accumulation).
-    pub(crate) fn absorb(&mut self, other: ExecReport) {
-        self.fired += other.fired;
-        self.else_taken += other.else_taken;
-        append(&mut self.denials, other.denials);
-        self.allows += other.allows;
-        append(&mut self.alerts, other.alerts);
-        append(&mut self.errors, other.errors);
-        self.mutations += other.mutations;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        append(&mut self.touches, other.touches);
-    }
-}
-
-/// `into.extend(from)` that hands the buffer over when `into` is empty: a
-/// denial climbs from its action through its rule to the dispatch, and
-/// each level used to copy it into a vector of its own.
-fn append<T>(into: &mut Vec<T>, from: Vec<T>) {
-    if into.is_empty() {
-        *into = from;
-    } else {
-        into.extend(from);
-    }
 }
 
 /// Drives rule evaluation. Stateless apart from configuration; all mutable
 /// state lives in the detector, pool, auth state and log it is handed.
+///
+/// Stored inside engine snapshots. Unknown keys are ignored on read, so a
+/// snapshot written when this struct still carried the two
+/// independence-certificate fields opens as is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Executor {
     /// Maximum cascade depth before the executor cuts a rule loop.
@@ -100,25 +86,12 @@ pub struct Executor {
     /// instead of being cut.
     #[serde(default)]
     pub assume_acyclic: bool,
-    /// Use the independence fast path for events listed in
-    /// [`Executor::independent_events`]: the enabled-rule batch for such
-    /// an event is snapshotted once per occurrence instead of re-fetching
-    /// and re-checking the pool before every rule.
-    ///
-    /// Only set this from the effect analysis (`policy::analyze`): the
-    /// snapshot is sound exactly when no rule triggered by the event can
-    /// (transitively) toggle rule enablement — the analyzer's
-    /// `independent_events` certificate. Deny-overrides short-circuiting
-    /// is preserved either way.
-    #[serde(default)]
-    pub assume_independent: bool,
-    /// Events whose triggered rules were proved free of (effective)
-    /// rule-toggle writes — the license for the fast path above.
-    #[serde(default)]
-    pub independent_events: BTreeSet<EventId>,
     /// Record every state region each rule execution touches into
     /// [`ExecReport::touches`] (runtime-resolved targets). Used by the
-    /// simulator to certify declared footprints dynamically.
+    /// simulator to certify declared footprints dynamically. While set,
+    /// rules are evaluated by the interpreter even when the runtime
+    /// carries a plan: footprints are declared over the rule language,
+    /// not over its lowered form.
     #[serde(default)]
     pub record_effects: bool,
 }
@@ -128,8 +101,6 @@ impl Default for Executor {
         Executor {
             max_cascade_depth: 32,
             assume_acyclic: false,
-            assume_independent: false,
-            independent_events: BTreeSet::new(),
             record_effects: false,
         }
     }
@@ -145,6 +116,11 @@ pub struct Runtime<'a> {
     pub state: &'a mut dyn AuthState,
     /// The audit log.
     pub log: &'a mut AuditLog,
+    /// The plan `pool` was lowered into, when it was licensed for one
+    /// (see [`crate::compile`]). With a plan the executor evaluates rules
+    /// from it; without, it interprets the pool. Both give the same
+    /// decisions, reports and audit entries.
+    pub plan: Option<&'a CompiledPool>,
 }
 
 /// Register a rule: watches its triggering event in the detector (so
@@ -156,6 +132,128 @@ pub fn attach_rule(
 ) -> crate::rule::RuleId {
     detector.watch(rule.event);
     pool.add(rule)
+}
+
+/// Where the cascade driver takes the rules of an occurrence from: the
+/// pool itself ([`Interpreter`]) or the plan lowered from it
+/// (`&CompiledPool`). The driver is generic over this, so neither costs a
+/// dynamic call per rule.
+pub(crate) trait RuleSource: Copy {
+    /// One triggered rule, held while its actions run (they may toggle
+    /// the pool it came from).
+    type Rule: Triggered;
+
+    /// The next *enabled* rule `event` triggers, from position `*next` of
+    /// the pool's priority order on; `*next` ends up past it. Enablement
+    /// is read from the live pool entry each time: an earlier rule of the
+    /// same occurrence may have toggled it.
+    fn next_enabled(self, pool: &RulePool, event: EventId, next: &mut usize) -> Option<Self::Rule>;
+}
+
+/// A rule as the cascade driver sees it.
+pub(crate) trait Triggered {
+    /// The rule's name (audit entries, error messages, recorded effects).
+    fn name(&self) -> &Arc<str>;
+
+    /// Evaluate the **W** part. `sink`, when given, receives the regions
+    /// each evaluated check read.
+    fn holds(
+        &self,
+        occ: &Occurrence,
+        state: &dyn AuthState,
+        detector: &Detector,
+        sink: Option<&mut Vec<Region>>,
+    ) -> Result<bool, String>;
+
+    /// The **T** (`then`) or **E** action list, each action with the id
+    /// of the event it raises or cancels where the source resolved it.
+    fn actions(&self, then: bool) -> impl Iterator<Item = (&ActionSpec, Option<EventId>)>;
+}
+
+/// The reference evaluator: rules are fetched from the pool and their
+/// `CondExpr` trees walked, names resolved as they are met.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interpreter;
+
+impl RuleSource for Interpreter {
+    type Rule = Arc<Rule>;
+
+    fn next_enabled(self, pool: &RulePool, event: EventId, next: &mut usize) -> Option<Arc<Rule>> {
+        while let Some(&id) = pool.triggered_by(event).get(*next) {
+            *next += 1;
+            if let Some(rule) = pool.get_arc(id).filter(|r| r.enabled) {
+                return Some(rule);
+            }
+        }
+        None
+    }
+}
+
+impl Triggered for Arc<Rule> {
+    fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+
+    fn holds(
+        &self,
+        occ: &Occurrence,
+        state: &dyn AuthState,
+        detector: &Detector,
+        sink: Option<&mut Vec<Region>>,
+    ) -> Result<bool, String> {
+        eval_cond_rec(&self.when, occ, state, detector, sink)
+    }
+
+    fn actions(&self, then: bool) -> impl Iterator<Item = (&ActionSpec, Option<EventId>)> {
+        let list = if then { &self.then } else { &self.otherwise };
+        list.iter().map(|a| (a, None))
+    }
+}
+
+/// One rule running on one occurrence: what every audit entry and error
+/// message of the firing names.
+struct Firing<'a> {
+    rule: &'a Arc<str>,
+    occ: &'a Occurrence,
+    depth: usize,
+}
+
+impl Firing<'_> {
+    fn audit(&self, rt: &mut Runtime<'_>, kind: AuditKind, message: String) {
+        rt.log.push(AuditEntry {
+            time: rt.detector.now(),
+            kind,
+            rule: Some(Arc::clone(self.rule)),
+            event: Some(self.occ.event),
+            message,
+        });
+    }
+
+    /// Record an engine error in the audit log and the report.
+    fn error(&self, rt: &mut Runtime<'_>, report: &mut ExecReport, message: String) {
+        self.audit(rt, AuditKind::EngineError, message.clone());
+        report.errors.push(message);
+    }
+
+    /// Book what the monitor answered to a state action: applied, or
+    /// rejected — which denies the request.
+    fn settle(&self, rt: &mut Runtime<'_>, report: &mut ExecReport, outcome: ActionOutcome) {
+        match outcome {
+            ActionOutcome::Done => report.mutations += 1,
+            ActionOutcome::Rejected(m) => {
+                report.denials.push(m.clone());
+                self.audit(rt, AuditKind::ActionRejected, m);
+            }
+        }
+    }
+
+    fn touch(&self, access: Access, region: Region) -> RuleTouch {
+        RuleTouch {
+            rule: self.rule.to_string(),
+            access,
+            region,
+        }
+    }
 }
 
 impl Executor {
@@ -196,10 +294,10 @@ impl Executor {
         let mut report = ExecReport::default();
         while let Some(at) = rt.detector.next_timer_due().filter(|&at| at <= ts) {
             let detections = rt.detector.advance_to(at)?;
-            report.absorb(self.process(rt, detections, 0));
+            self.process_into(rt, detections, 0, &mut report);
         }
         let detections = rt.detector.advance_to(ts)?;
-        report.absorb(self.process(rt, detections, 0));
+        self.process_into(rt, detections, 0, &mut report);
         Ok(report)
     }
 
@@ -217,115 +315,96 @@ impl Executor {
         depth: usize,
     ) -> ExecReport {
         let mut report = ExecReport::default();
+        self.process_into(rt, detections, depth, &mut report);
+        report
+    }
+
+    /// [`Executor::process`] into a report the caller already has. This is
+    /// where the evaluator is chosen, from what the executor can observe:
+    /// a runtime that carries a plan runs through it, one that does not —
+    /// or any runtime while effects are recorded — is interpreted.
+    fn process_into(
+        &self,
+        rt: &mut Runtime<'_>,
+        detections: Vec<Detection>,
+        depth: usize,
+        report: &mut ExecReport,
+    ) {
+        match rt.plan {
+            Some(plan) if !self.record_effects => self.drive(rt, plan, detections, depth, report),
+            _ => self.drive(rt, Interpreter, detections, depth, report),
+        }
+    }
+
+    /// The cascade driver: every detection's rules in priority order.
+    /// One report per dispatch: rules, actions and cascades all book into
+    /// `report`, in the order things happen.
+    fn drive<S: RuleSource>(
+        &self,
+        rt: &mut Runtime<'_>,
+        rules: S,
+        detections: Vec<Detection>,
+        depth: usize,
+        report: &mut ExecReport,
+    ) {
         for det in detections {
             let occ = det.occurrence;
-            if self.assume_independent && self.independent_events.contains(&occ.event) {
-                // Fast path (toggle-independence certificate): no rule
-                // triggered by this event can — directly or through any
-                // synchronous cascade — flip rule enablement, so the
-                // enabled batch is snapshotted once and the per-rule pool
-                // refetch + enabled re-check are skipped. Deny-overrides
-                // short-circuiting below is untouched.
-                let batch: Vec<Arc<Rule>> = rt
-                    .pool
-                    .triggered_by(occ.event)
-                    .iter()
-                    .filter_map(|&id| rt.pool.get_arc(id))
-                    .filter(|r| r.enabled)
-                    .collect();
-                for rule in batch {
-                    let sub = self.run_rule(rt, &rule, &occ, depth);
-                    let denied = !sub.denials.is_empty();
-                    report.absorb(sub);
-                    if denied {
-                        break;
-                    }
-                }
-                continue;
-            }
             // By position: rule actions toggle enablement, never the
-            // per-event index, so no copy of the id list is needed.
+            // per-event order, so nothing is snapshotted.
             let mut next = 0;
-            while let Some(&id) = rt.pool.triggered_by(occ.event).get(next) {
-                next += 1;
-                let Some(rule) = rt.pool.get_arc(id) else {
-                    continue;
-                };
-                if !rule.enabled {
-                    continue;
-                }
-                let sub = self.run_rule(rt, &rule, &occ, depth);
-                let denied = !sub.denials.is_empty();
-                report.absorb(sub);
+            while let Some(rule) = rules.next_enabled(rt.pool, occ.event, &mut next) {
+                let before = report.denials.len();
+                self.run_rule(rt, rules, &rule, &occ, depth, report);
                 // Deny-overrides, priority-ordered: once a rule denies this
                 // occurrence, lower-priority rules on the same occurrence
                 // are skipped. This is what lets generated guard rules
                 // (specialized caps, SoD guards) precede the apply rule.
-                if denied {
+                if report.denials.len() > before {
                     break;
                 }
             }
         }
-        report
     }
 
-    fn run_rule(
+    fn run_rule<S: RuleSource>(
         &self,
         rt: &mut Runtime<'_>,
-        rule: &Rule,
+        rules: S,
+        rule: &S::Rule,
         occ: &Occurrence,
         depth: usize,
-    ) -> ExecReport {
-        let mut report = ExecReport {
-            max_depth: depth,
-            ..ExecReport::default()
+        report: &mut ExecReport,
+    ) {
+        let at = Firing {
+            rule: rule.name(),
+            occ,
+            depth,
         };
+        report.max_depth = report.max_depth.max(depth);
         let mut traced = Vec::new();
-        let sink = if self.record_effects {
-            Some(&mut traced)
-        } else {
-            None
-        };
-        let cond = match eval_cond_rec(&rule.when, occ, rt.state, rt.detector, sink) {
+        let sink = self.record_effects.then_some(&mut traced);
+        let cond = match rule.holds(occ, rt.state, rt.detector, sink) {
             Ok(b) => b,
             Err(msg) => {
-                let m = format!("condition error in {}: {msg}", rule.name);
-                rt.log.push(AuditEntry {
-                    time: rt.detector.now(),
-                    kind: AuditKind::EngineError,
-                    rule: Some(Arc::clone(&rule.name)),
-                    event: Some(occ.event),
-                    message: m.clone(),
-                });
-                report.errors.push(m);
+                let m = format!("condition error in {}: {msg}", at.rule);
+                at.error(rt, report, m);
                 false
             }
         };
         report
             .touches
-            .extend(traced.into_iter().map(|region| RuleTouch {
-                rule: rule.name.to_string(),
-                access: Access::Read,
-                region,
-            }));
-        let (actions, kind) = if cond {
+            .extend(traced.into_iter().map(|r| at.touch(Access::Read, r)));
+        let kind = if cond {
             report.fired += 1;
-            (&rule.then, AuditKind::Fired)
+            AuditKind::Fired
         } else {
             report.else_taken += 1;
-            (&rule.otherwise, AuditKind::ElseTaken)
+            AuditKind::ElseTaken
         };
-        rt.log.push(AuditEntry {
-            time: rt.detector.now(),
-            kind,
-            rule: Some(Arc::clone(&rule.name)),
-            event: Some(occ.event),
-            message: String::new(),
-        });
-        for action in actions {
+        at.audit(rt, kind, String::new());
+        for (action, resolved) in rule.actions(cond) {
             let before = report.denials.len();
-            let sub = self.run_action(rt, rule, action, occ, depth);
-            report.absorb(sub);
+            self.run_action(rt, rules, &at, action, resolved, report);
             // A rejected/denying action aborts the rest of this rule's
             // action list (later actions usually depend on its success,
             // e.g. raising the "role added" event after adding it).
@@ -333,58 +412,39 @@ impl Executor {
                 break;
             }
         }
-        report
     }
 
-    fn run_action(
+    /// Run one action. `resolved` is the id of the event it raises or
+    /// cancels when the rule source looked it up ahead of time; the
+    /// detector's name table is append-only, so that id is what the name
+    /// resolves to now.
+    fn run_action<S: RuleSource>(
         &self,
         rt: &mut Runtime<'_>,
-        rule: &Rule,
+        rules: S,
+        at: &Firing<'_>,
         action: &ActionSpec,
-        occ: &Occurrence,
-        depth: usize,
-    ) -> ExecReport {
-        let mut report = ExecReport::default();
+        resolved: Option<EventId>,
+        report: &mut ExecReport,
+    ) {
+        let occ = at.occ;
         if self.record_effects {
             // Record at the executed site with runtime-resolved targets —
             // the declared (static) footprint must cover every one.
             let fp = action_footprint(action, |p| runtime_target(p, occ));
-            let name = &rule.name;
-            report
-                .touches
-                .extend(fp.reads.into_iter().map(|region| RuleTouch {
-                    rule: name.to_string(),
-                    access: Access::Read,
-                    region,
-                }));
-            report
-                .touches
-                .extend(fp.writes.into_iter().map(|region| RuleTouch {
-                    rule: name.to_string(),
-                    access: Access::Write,
-                    region,
-                }));
+            let reads = fp.reads.into_iter().map(|r| at.touch(Access::Read, r));
+            let writes = fp.writes.into_iter().map(|r| at.touch(Access::Write, r));
+            report.touches.extend(reads.chain(writes));
         }
-        let now = rt.detector.now();
-        let log_entry = |rt: &mut Runtime<'_>, kind: AuditKind, message: String| {
-            rt.log.push(AuditEntry {
-                time: now,
-                kind,
-                rule: Some(Arc::clone(&rule.name)),
-                event: Some(occ.event),
-                message,
-            });
-        };
         // Resolve an integer argument or record an engine error.
         macro_rules! arg {
             ($p:expr) => {
                 match $p.resolve_int(occ) {
                     Some(v) => v,
                     None => {
-                        let m = format!("rule {}: parameter {} missing in {}", rule.name, $p, occ);
-                        log_entry(rt, AuditKind::EngineError, m.clone());
-                        report.errors.push(m);
-                        return report;
+                        let m = format!("rule {}: parameter {} missing in {}", at.rule, $p, occ);
+                        at.error(rt, report, m);
+                        return;
                     }
                 }
             };
@@ -393,25 +453,24 @@ impl Executor {
         match action {
             ActionSpec::Allow => {
                 report.allows += 1;
-                log_entry(rt, AuditKind::Allowed, String::new());
+                at.audit(rt, AuditKind::Allowed, String::new());
             }
             ActionSpec::RaiseError(m) => {
                 report.denials.push(m.clone());
-                log_entry(rt, AuditKind::Denied, m.clone());
+                at.audit(rt, AuditKind::Denied, m.clone());
             }
             ActionSpec::Alert(m) => {
                 report.alerts.push(m.clone());
-                log_entry(rt, AuditKind::Alert, m.clone());
+                at.audit(rt, AuditKind::Alert, m.clone());
             }
             ActionSpec::RaiseEvent { event, params } => {
-                if !self.assume_acyclic && depth + 1 > self.max_cascade_depth {
+                if !self.assume_acyclic && at.depth + 1 > self.max_cascade_depth {
                     let m = format!(
                         "rule {}: cascade depth {} exceeded raising {event}",
-                        rule.name, self.max_cascade_depth
+                        at.rule, self.max_cascade_depth
                     );
-                    log_entry(rt, AuditKind::EngineError, m.clone());
-                    report.errors.push(m);
-                    return report;
+                    at.error(rt, report, m);
+                    return;
                 }
                 let mut p = Params::with_capacity(params.len());
                 for (name, src) in params {
@@ -420,32 +479,30 @@ impl Executor {
                         None => {
                             let m = format!(
                                 "rule {}: parameter {src} missing for raised event {event}",
-                                rule.name
+                                at.rule
                             );
-                            log_entry(rt, AuditKind::EngineError, m.clone());
-                            report.errors.push(m);
-                            return report;
+                            at.error(rt, report, m);
+                            return;
                         }
                     }
                 }
-                match rt.detector.raise_named(event, p) {
-                    Ok(dets) => {
-                        let sub = self.process(rt, dets, depth + 1);
-                        report.absorb(sub);
-                    }
+                let raised = match resolved {
+                    Some(id) => rt.detector.raise(id, p),
+                    None => rt.detector.raise_named(event, p),
+                };
+                match raised {
+                    Ok(dets) => self.drive(rt, rules, dets, at.depth + 1, report),
                     Err(e) => {
-                        let m = format!("rule {}: raise {event} failed: {e}", rule.name);
-                        log_entry(rt, AuditKind::EngineError, m.clone());
-                        report.errors.push(m);
+                        let m = format!("rule {}: raise {event} failed: {e}", at.rule);
+                        at.error(rt, report, m);
                     }
                 }
             }
             ActionSpec::CancelPlus { event, key_param } => {
-                let Some(id) = rt.detector.lookup(event) else {
-                    let m = format!("rule {}: cancelPlus unknown event {event}", rule.name);
-                    log_entry(rt, AuditKind::EngineError, m.clone());
-                    report.errors.push(m);
-                    return report;
+                let Some(id) = resolved.or_else(|| rt.detector.lookup(event)) else {
+                    let m = format!("rule {}: cancelPlus unknown event {event}", at.rule);
+                    at.error(rt, report, m);
+                    return;
                 };
                 let key = occ.params.get(key_param).cloned();
                 let n = rt.detector.cancel_timers_where(id, |base| {
@@ -456,22 +513,22 @@ impl Executor {
             ActionSpec::DisableRuleClass(c) => {
                 let n = rt.pool.set_class_enabled(*c, false);
                 report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("disabled {n} {c} rules"));
+                at.audit(rt, AuditKind::RuleToggle, format!("disabled {n} {c} rules"));
             }
             ActionSpec::EnableRuleClass(c) => {
                 let n = rt.pool.set_class_enabled(*c, true);
                 report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("enabled {n} {c} rules"));
+                at.audit(rt, AuditKind::RuleToggle, format!("enabled {n} {c} rules"));
             }
             ActionSpec::DisableRule(name) => {
                 rt.pool.set_enabled(name, false);
                 report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("disabled rule {name}"));
+                at.audit(rt, AuditKind::RuleToggle, format!("disabled rule {name}"));
             }
             ActionSpec::EnableRule(name) => {
                 rt.pool.set_enabled(name, true);
                 report.mutations += 1;
-                log_entry(rt, AuditKind::RuleToggle, format!("enabled rule {name}"));
+                at.audit(rt, AuditKind::RuleToggle, format!("enabled rule {name}"));
             }
             ActionSpec::AddSessionRole {
                 user,
@@ -479,9 +536,8 @@ impl Executor {
                 role,
             } => {
                 let (u, s, r) = (arg!(user), arg!(session), arg!(role));
-                self.apply(rt, &mut report, rule, occ, |st| {
-                    st.add_session_role(u, s, r)
-                });
+                let outcome = rt.state.add_session_role(u, s, r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::DropSessionRole {
                 user,
@@ -489,70 +545,41 @@ impl Executor {
                 role,
             } => {
                 let (u, s, r) = (arg!(user), arg!(session), arg!(role));
-                self.apply(rt, &mut report, rule, occ, |st| {
-                    st.drop_session_role(u, s, r)
-                });
+                let outcome = rt.state.drop_session_role(u, s, r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::DeactivateRoleEverywhere(role) => {
                 let r = arg!(role);
-                self.apply(rt, &mut report, rule, occ, |st| {
-                    st.deactivate_role_everywhere(r)
-                });
+                let outcome = rt.state.deactivate_role_everywhere(r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::EnableRole(role) => {
                 let r = arg!(role);
-                self.apply(rt, &mut report, rule, occ, |st| st.enable_role(r));
+                let outcome = rt.state.enable_role(r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::DisableRole { role, deactivate } => {
                 let r = arg!(role);
-                let d = *deactivate;
-                self.apply(rt, &mut report, rule, occ, |st| st.disable_role(r, d));
+                let outcome = rt.state.disable_role(r, *deactivate);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::AssignUser { user, role } => {
                 let (u, r) = (arg!(user), arg!(role));
-                self.apply(rt, &mut report, rule, occ, |st| st.assign_user(u, r));
+                let outcome = rt.state.assign_user(u, r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::DeassignUser { user, role } => {
                 let (u, r) = (arg!(user), arg!(role));
-                self.apply(rt, &mut report, rule, occ, |st| st.deassign_user(u, r));
+                let outcome = rt.state.deassign_user(u, r);
+                at.settle(rt, report, outcome);
             }
             ActionSpec::Custom { name, args } => {
-                let mut resolved = Vec::with_capacity(args.len());
+                let mut ids = Vec::with_capacity(args.len());
                 for a in args {
-                    resolved.push(arg!(a));
+                    ids.push(arg!(a));
                 }
-                let outcome = rt.state.custom_action(name, &resolved, occ);
-                match outcome {
-                    ActionOutcome::Done => report.mutations += 1,
-                    ActionOutcome::Rejected(m) => {
-                        report.denials.push(m.clone());
-                        log_entry(rt, AuditKind::ActionRejected, m);
-                    }
-                }
-            }
-        }
-        report
-    }
-
-    fn apply(
-        &self,
-        rt: &mut Runtime<'_>,
-        report: &mut ExecReport,
-        rule: &Rule,
-        occ: &Occurrence,
-        f: impl FnOnce(&mut dyn AuthState) -> ActionOutcome,
-    ) {
-        match f(rt.state) {
-            ActionOutcome::Done => report.mutations += 1,
-            ActionOutcome::Rejected(m) => {
-                report.denials.push(m.clone());
-                rt.log.push(AuditEntry {
-                    time: rt.detector.now(),
-                    kind: AuditKind::ActionRejected,
-                    rule: Some(Arc::clone(&rule.name)),
-                    event: Some(occ.event),
-                    message: m,
-                });
+                let outcome = rt.state.custom_action(name, &ids, occ);
+                at.settle(rt, report, outcome);
             }
         }
     }
@@ -619,16 +646,20 @@ fn eval_cond_rec(
     }
 }
 
-fn eval_check(
+/// An entity-id argument of a check.
+pub(crate) fn id_arg(p: &ParamRef, occ: &Occurrence) -> Result<i64, String> {
+    p.resolve_int(occ)
+        .ok_or_else(|| format!("parameter {p} missing or not an id in {occ}"))
+}
+
+/// Evaluate one check of the rule language.
+pub(crate) fn eval_check(
     check: &Check,
     occ: &Occurrence,
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
-    let int = |p: &crate::lang::ParamRef| {
-        p.resolve_int(occ)
-            .ok_or_else(|| format!("parameter {p} missing or not an id in {occ}"))
-    };
+    let int = |p| id_arg(p, occ);
     match check {
         Check::UserExists(u) => Ok(state.user_exists(int(u)?)),
         Check::SessionExists(s) => Ok(state.session_exists(int(s)?)),
@@ -708,6 +739,7 @@ mod tests {
                 pool: &mut self.pool,
                 state: &mut self.state,
                 log: &mut self.log,
+                plan: None,
             }
         }
     }
@@ -1119,6 +1151,7 @@ mod cond_if_tests {
             pool: &mut pool,
             state: &mut state,
             log: &mut log,
+            plan: None,
         };
         let rep = exec
             .dispatch(&mut rt, nurse, Params::new().with("doctor_ok", true))

@@ -16,7 +16,9 @@
 //!   priorities and bulk enable/disable;
 //! * [`executor::Executor`] — evaluation: condition checks against an
 //!   [`state::AuthState`], Then/Else action execution, cascaded rule
-//!   triggering via raised events, depth-guarded;
+//!   triggering via raised events, depth-guarded; one driver, fed either
+//!   by the pool (the interpreter) or by the plan [`compile`] lowers a
+//!   verified pool into;
 //! * [`log::AuditLog`] — every firing, denial, alert and failure, queryable
 //!   for active-security windows.
 //!
@@ -36,7 +38,7 @@ pub mod rule;
 pub mod state;
 
 pub use compile::{
-    compile, CAction, CCheck, CRef, CompileError, CompileHost, CompiledPool, CompiledRule, CondOp,
+    compile, BoundActions, CCheck, CompileError, CompileHost, CompiledPool, CompiledRule, CondOp,
     DsdSetBaked, NoBake,
 };
 pub use effect::{

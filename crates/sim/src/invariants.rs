@@ -470,18 +470,17 @@ impl Invariants {
     }
 }
 
-/// Replay `ops` through a compiled engine and an interpreter-pinned engine
-/// built from the same policy; return the first observable difference
+/// Replay `ops` through a compiled engine and the reference evaluator
+/// ([`Engine::interpreted`]) of the same policy; return the first observable difference
 /// (including the audit trail), if any. Policies that fail to build are
 /// someone else's violation — this check only speaks to compilation.
 fn compiled_divergence(graph: &PolicyGraph, start: Ts, ops: &[JournalOp]) -> Option<String> {
     let (Ok(mut compiled), Ok(mut interp)) = (
         Engine::from_policy(graph, start),
-        Engine::from_policy(graph, start),
+        Engine::interpreted(graph, start),
     ) else {
         return None;
     };
-    interp.set_compiled(false);
     for (i, op) in ops.iter().enumerate() {
         let a = apply_op(&mut compiled, op);
         let b = apply_op(&mut interp, op);

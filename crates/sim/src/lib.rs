@@ -125,14 +125,14 @@ pub fn tiny_enterprise() -> PolicyGraph {
     g.role("clerk").max_active_users = Some(2);
     g.role("billing");
     g.role("auditing");
-    g.user("u0");
-    g.user("u1");
+    g.user("user0");
+    g.user("user1");
     g.permission("file-claim", "write", "claims");
     g.grant("file-claim", "clerk");
-    g.assign("u0", "clerk");
-    g.assign("u0", "billing");
-    g.assign("u1", "clerk");
-    g.assign("u1", "auditing");
+    g.assign("user0", "clerk");
+    g.assign("user0", "billing");
+    g.assign("user1", "clerk");
+    g.assign("user1", "auditing");
     g.ssd_set("bill-audit", &["billing", "auditing"], 2);
     g.dsd_set("bill-audit-dyn", &["billing", "auditing"], 2);
     g

@@ -180,6 +180,7 @@ fn transaction_based_activation_via_aperiodic() {
         pool: &mut pool,
         state: &mut state,
         log: &mut log,
+        plan: None,
     };
     // Request before the manager window: no rule fires.
     exec.dispatch_named(&mut rt, "juniorRequest", Params::new())
@@ -191,6 +192,7 @@ fn transaction_based_activation_via_aperiodic() {
         pool: &mut pool,
         state: &mut state,
         log: &mut log,
+        plan: None,
     };
     // SnoopIB sequencing is strict: separate the occurrences in time.
     exec.dispatch_named(&mut rt, "managerActivated", Params::new())

@@ -8,26 +8,27 @@
 //!
 //! Heap allocations per operation (`realloc` counted as one) on
 //! `EnterpriseSpec::sized(20)`, seed 7, audit ring reserved, after warm-up,
-//! at the parent commit and now, with the compiled plan / with the plan
-//! disarmed:
+//! before the names were shared (PR 14's parent) and now, through the
+//! compiled plan / through the reference interpreter:
 //!
 //! | operation              | before  | now    | budget |
 //! |------------------------|---------|--------|--------|
-//! | `check_access` granted | 17 / 18 | 2 / 3  | 3      |
-//! | `check_access` denied  | 29 / 30 | 7 / 8  | 14     |
-//! | `add_active_role`      | 37 / 41 | 6 / 10 | 18     |
-//! | `drop_active_role`     | 22 / 25 | 3 / 6  | 11     |
+//! | `check_access` granted | 17 / 18 | 2 / 2  | 2      |
+//! | `check_access` denied  | 29 / 30 | 7 / 7  | 14     |
+//! | `add_active_role`      | 37 / 41 | 6 / 8  | 18     |
+//! | `drop_active_role`     | 22 / 25 | 3 / 5  | 11     |
 //!
-//! The last three budgets are half of the parent's compiled-plan counts,
-//! rounded down: a regression that brings back one allocation per key, per
+//! Both evaluators run under one driver and count the same there; the two
+//! extra of an interpreted activation are the engine building the
+//! per-role event name, which the plan's tables resolve ahead of time. The
+//! last three budgets are half of the old compiled-plan counts, rounded
+//! down: a regression that brings back one allocation per key, per
 //! audit entry or per propagation step lands well above them. What the
 //! counts still contain: the request's parameter buffer and the
 //! detector's result vector per raised event (a granted check raises one,
 //! an activation three), the denial's message strings, and whatever the
 //! monitor allocates to answer (one set walk per cardinality check and
-//! per hierarchy walk, paid by the direct baseline too). With the plan
-//! disarmed, each dispatch of a certified-independent event also
-//! snapshots its rule batch.
+//! per hierarchy walk, paid by the direct baseline too).
 
 use owte_core::Engine;
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
@@ -102,8 +103,12 @@ struct Bench {
 
 fn bench(compiled: bool) -> Bench {
     let graph = generate_enterprise(&EnterpriseSpec::sized(20), 7);
-    let mut engine = Engine::from_policy(&graph, Ts::ZERO).expect("generated policy instantiates");
-    engine.set_compiled(compiled);
+    let build = if compiled {
+        Engine::from_policy
+    } else {
+        Engine::interpreted
+    };
+    let engine = build(&graph, Ts::ZERO).expect("generated policy instantiates");
     assert_eq!(engine.compiled_active(), compiled);
     // No maximum activation time: a Δ also schedules and cancels a timer.
     let plain = |name: &str| {
@@ -180,7 +185,7 @@ fn worst(b: &mut Bench, warm: usize, reps: usize, mut op: impl FnMut(&mut Bench)
 }
 
 /// `[granted check, denied check, add_active_role, drop_active_role]`.
-const BUDGET: [u64; 4] = [3, 14, 18, 11];
+const BUDGET: [u64; 4] = [2, 14, 18, 11];
 
 fn measure(compiled: bool) -> [u64; 4] {
     let mut b = bench(compiled);
@@ -216,7 +221,7 @@ fn within_budget(compiled: bool) {
         got.iter().zip(BUDGET).all(|(&n, max)| n <= max),
         "allocations per [granted check, denied check, add_active_role, drop_active_role] \
          with the plan {}: {got:?}, budget {BUDGET:?}",
-        if compiled { "armed" } else { "disarmed" },
+        if compiled { "armed" } else { "not used" },
     );
 }
 

@@ -94,6 +94,7 @@ fn injected_self_loop_is_flagged_and_cut_at_runtime() {
         pool: &mut inst.pool,
         state: &mut state,
         log: &mut log,
+        plan: None,
     };
     let rep = exec.dispatch(&mut rt, ev, Params::new()).unwrap();
     assert!(

@@ -2,9 +2,9 @@
 //! **identical decisions** on random enterprises and random workload traces
 //! — compilation is a pure performance transformation.
 //!
-//! Two full OWTE engines are built from the same policy; one keeps its
-//! compiled plan, the other pins the interpreter via
-//! [`Engine::set_compiled`]. Both are driven step by step through the
+//! Two full OWTE engines are built from the same policy; one runs its
+//! compiled plan, the other is the reference evaluator,
+//! [`Engine::interpreted`]. Both are driven step by step through the
 //! shared [`workload::drive`] runner; after every step the decision must
 //! match, and after the whole trace the observable state (sessions, active
 //! role sets, enabled flags) **and the complete audit log** must be equal —
@@ -45,9 +45,8 @@ impl Harness {
     fn new(spec: &EnterpriseSpec, seed: u64, ctx: String) -> Harness {
         let graph = generate_enterprise(spec, seed);
         let compiled = Engine::from_policy(&graph, Ts::ZERO).unwrap();
-        let mut interp = Engine::from_policy(&graph, Ts::ZERO).unwrap();
-        interp.set_compiled(false);
-        assert!(!interp.compiled_active());
+        let interp = Engine::interpreted(&graph, Ts::ZERO).unwrap();
+        assert!(compiled.compiled_active() && !interp.compiled_active());
         Harness {
             compiled,
             interp,

@@ -32,6 +32,7 @@ impl Fx {
             pool: &mut self.pool,
             state: &mut self.state,
             log: &mut self.log,
+            plan: None,
         }
     }
 }

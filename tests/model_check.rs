@@ -137,7 +137,7 @@ fn seeded_ssd_violation_is_found_and_minimized() {
         violation,
         Violation::Ssd {
             set: "bill-audit".into(),
-            user: "u1".into(),
+            user: "user1".into(),
             held: vec!["auditing".into(), "billing".into()],
         },
         "wrong violation reported"
