@@ -40,6 +40,9 @@ pub struct DirectEngine {
     security: Vec<SecuritySpec>,
     triggers: Vec<RoleTrigger>,
     now: Ts,
+    /// The next shift boundary of each role with an enabling window,
+    /// keyed by (when, role); the value is whether the window opens there.
+    boundaries: BTreeMap<(Ts, RoleId), bool>,
     /// Δ-expiry timers, keyed by (when, sequence).
     timers: BTreeMap<(Ts, u64), Expiry>,
     /// Delayed trigger actions, keyed by (when, sequence).
@@ -97,6 +100,14 @@ impl DirectEngine {
                 }
             })
             .collect();
+        let boundaries = inst
+            .temporal
+            .constrained_roles()
+            .filter_map(|r| {
+                let (t, open) = next_boundary(&inst.temporal, r, start)?;
+                Some(((t, r), open))
+            })
+            .collect();
         Ok(DirectEngine {
             sys,
             temporal: inst.temporal,
@@ -107,6 +118,7 @@ impl DirectEngine {
             security: graph.security.clone(),
             triggers,
             now: start,
+            boundaries,
             timers: BTreeMap::new(),
             trigger_timers: BTreeMap::new(),
             timer_seq: 0,
@@ -278,19 +290,11 @@ impl DirectEngine {
     /// Rule 9's ASEC₂ side: when a prerequisite role stops being active
     /// anywhere, its dependents are deactivated everywhere.
     fn cascade_dropped(&mut self, role: RoleId) {
-        let still_active = self
-            .sys
-            .all_sessions()
-            .any(|s| self.sys.session_roles(s).is_ok_and(|rs| rs.contains(&role)));
-        if still_active {
+        if self.sys.role_active_anywhere(role) {
             return;
         }
         for dep in self.constraints.dependents_of(role) {
-            let was_enabled = self.sys.is_enabled(dep).unwrap_or(false);
-            let _ = self.sys.disable_role(dep, true);
-            if was_enabled {
-                let _ = self.sys.enable_role(dep);
-            }
+            let _ = self.sys.deactivate_everywhere(dep);
         }
     }
 
@@ -448,11 +452,7 @@ impl DirectEngine {
             .filter(|&r| !self.context.check(r))
             .collect();
         for r in violated {
-            let was_enabled = self.sys.is_enabled(r).unwrap_or(false);
-            let _ = self.sys.disable_role(r, true);
-            if was_enabled {
-                let _ = self.sys.enable_role(r);
-            }
+            let _ = self.sys.deactivate_everywhere(r);
         }
     }
 
@@ -474,24 +474,14 @@ impl DirectEngine {
         // matching the OWTE engine, whose calendar timers are scheduled at
         // instantiation, before any Δ timer.
         let mut due: Vec<(Ts, u8, u64, Evt)> = Vec::new();
-        let mut roles: Vec<RoleId> = self.temporal.constrained_roles().collect();
-        roles.sort();
-        for role in roles {
-            let Some(window) = self
-                .temporal
-                .get(role)
-                .and_then(|p| p.enabling.as_ref())
-                .and_then(|b| b.window.as_ref())
-            else {
-                continue;
-            };
-            let mut t = self.now;
-            while let Some((bt, open)) = window.next_boundary(t) {
-                if bt > ts {
-                    break;
-                }
-                due.push((bt, 0, 0, Evt::Boundary(role, open)));
-                t = bt;
+        while let Some(entry) = self.boundaries.first_entry() {
+            let &(bt, role) = entry.key();
+            if bt > ts {
+                break;
+            }
+            due.push((bt, 0, 0, Evt::Boundary(role, entry.remove())));
+            if let Some((next, open)) = next_boundary(&self.temporal, role, bt) {
+                self.boundaries.insert((next, role), open);
             }
         }
         let expired: Vec<((Ts, u64), Expiry)> = self
@@ -551,6 +541,13 @@ impl DirectEngine {
     }
 }
 
+/// The first boundary of `role`'s enabling window strictly after `t`, and
+/// whether the window opens there.
+fn next_boundary(temporal: &TemporalPolicies, role: RoleId, t: Ts) -> Option<(Ts, bool)> {
+    let window = temporal.get(role)?.enabling.as_ref()?.window.as_ref()?;
+    window.next_boundary(t)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +588,30 @@ mod tests {
         e.advance_to(Civil::new(2000, 1, 1, 17, 0, 0).to_ts())
             .unwrap();
         assert!(!e.sys.session_roles(s).unwrap().contains(&day));
+    }
+
+    /// One advance over many shift boundaries ends where many advances of
+    /// an hour do, and the timer map holds one next boundary either way.
+    #[test]
+    fn one_long_advance_equals_many_short_ones() {
+        let g = hospital();
+        let mut long = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
+        let mut short = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
+        let day = long.role_id("DayDoctor").unwrap();
+        for hours in [9, 40, 61, 100] {
+            let to = Ts::ZERO + Dur::from_hours(hours);
+            long.advance_to(to).unwrap();
+            while short.now() < to {
+                short.advance(Dur::from_hours(1)).unwrap();
+            }
+            assert_eq!(long.sys.is_enabled(day), short.sys.is_enabled(day));
+            assert_eq!(
+                long.sys.is_enabled(day),
+                Ok((8..16).contains(&(hours % 24)))
+            );
+            assert_eq!(long.boundaries, short.boundaries);
+            assert_eq!(long.boundaries.len(), 1);
+        }
     }
 
     #[test]

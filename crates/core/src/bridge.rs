@@ -117,11 +117,7 @@ impl AuthState for BridgeView<'_> {
 
     fn role_active_anywhere(&self, r: i64) -> bool {
         role(r).is_some_and(|r| {
-            self.external.get(&r).copied().unwrap_or(0) > 0
-                || self
-                    .sys
-                    .all_sessions()
-                    .any(|s| self.sys.session_roles(s).is_ok_and(|rs| rs.contains(&r)))
+            self.external.get(&r).copied().unwrap_or(0) > 0 || self.sys.role_active_anywhere(r)
         })
     }
 
@@ -136,10 +132,7 @@ impl AuthState for BridgeView<'_> {
 
     fn user_active_in_role(&self, u: i64, r: i64) -> bool {
         match (user(u), role(r)) {
-            (Some(u), Some(r)) => self
-                .sys
-                .active_roles_of_user(u)
-                .is_ok_and(|rs| rs.contains(&r)),
+            (Some(u), Some(r)) => self.sys.user_active_in_role(u, r),
             _ => false,
         }
     }
@@ -234,16 +227,8 @@ impl AuthState for BridgeView<'_> {
         let Some(r) = role(r) else {
             return ActionOutcome::Rejected("bad role id".into());
         };
-        // Forced deactivation = disable+deactivate, then restore enablement
-        // (the role stays enabled; only the activations are dropped).
-        let was_enabled = self.sys.is_enabled(r).unwrap_or(false);
-        match self.sys.disable_role(r, true) {
-            Ok(_) => {
-                if was_enabled {
-                    let _ = self.sys.enable_role(r);
-                }
-                ActionOutcome::Done
-            }
+        match self.sys.deactivate_everywhere(r) {
+            Ok(_) => ActionOutcome::Done,
             Err(e) => ActionOutcome::Rejected(e.to_string()),
         }
     }
@@ -408,5 +393,9 @@ mod tests {
         );
         assert!(!v.role_active_anywhere(i64::from(r.0)));
         assert!(v.role_enabled(i64::from(r.0)), "still enabled");
+        assert!(matches!(
+            v.deactivate_role_everywhere(99),
+            ActionOutcome::Rejected(_)
+        ));
     }
 }

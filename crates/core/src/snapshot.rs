@@ -455,6 +455,57 @@ mod tests {
         assert!(!snap.answers_at(Ts(until.0 + 1)));
     }
 
+    /// A write through the handle, under a published snapshot a reader
+    /// still holds, copies the written session's chunk and nothing else,
+    /// and the reader's snapshot keeps answering from its own epoch.
+    #[test]
+    fn a_published_snapshot_keeps_sharing_every_untouched_chunk() {
+        let mut g = PolicyGraph::new("shared");
+        g.role("worker");
+        g.user("u");
+        g.assign("u", "worker");
+        g.permission("use_tool", "use", "tool");
+        g.grant("use_tool", "worker");
+        let engine = crate::SharedEngine::new(Engine::from_policy(&g, Ts::ZERO).unwrap());
+        let (u, worker) = (
+            engine.user_id("u").unwrap(),
+            engine.role_id("worker").unwrap(),
+        );
+        // Three chunks of sessions.
+        let sessions: Vec<SessionId> = (0..150)
+            .map(|_| engine.create_session(u, &[]).unwrap())
+            .collect();
+        let (op, obj) = engine.with(|e| {
+            let sys = e.system();
+            (
+                sys.op_by_name("use").unwrap(),
+                sys.obj_by_name("tool").unwrap(),
+            )
+        });
+        let shared_with = |snap: &AuthSnapshot| {
+            engine.with(|e| e.system().sessions().chunks_shared_with(&snap.sessions))
+        };
+
+        let held = engine.snapshot().expect("published after the last write");
+        assert_eq!(shared_with(&held), 3);
+        engine.add_active_role(u, sessions[70], worker).unwrap();
+        assert_eq!(shared_with(&held), 2, "one chunk copied for one activation");
+        engine.delete_session(u, sessions[71]).unwrap();
+        assert_eq!(shared_with(&held), 2, "and written again in place");
+        engine.with(|e| e.disable_role(worker)).unwrap();
+        assert_eq!(
+            shared_with(&held),
+            2,
+            "a deactivation visits the holders only"
+        );
+
+        assert!(!held.grants(sessions[70], op, obj, None));
+        assert_eq!(held.session_count(), 150);
+        let now = engine.snapshot().expect("republished");
+        assert_eq!(shared_with(&now), 3);
+        assert_eq!(now.session_count(), 149);
+    }
+
     #[test]
     fn purpose_constraints_replicated() {
         let mut g = PolicyGraph::new("clinic");

@@ -184,11 +184,7 @@ impl PrerequisiteActivation {
         if role != self.role {
             return Ok(());
         }
-        let active = sys.all_sessions().any(|s| {
-            sys.session_roles(s)
-                .is_ok_and(|rs| rs.contains(&self.prerequisite))
-        });
-        if active {
+        if sys.role_active_anywhere(self.prerequisite) {
             Ok(())
         } else {
             Err(TemporalViolation::PrerequisiteNotActive {

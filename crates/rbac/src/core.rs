@@ -4,7 +4,7 @@
 
 use crate::error::{RbacError, Result};
 use crate::ids::{ObjId, OpId, PermId, RoleId, SessionId, UserId};
-use crate::system::{RoleRec, SessionRec, System, UserRec};
+use crate::system::{RoleRec, System, UserRec};
 use std::collections::BTreeSet;
 
 impl System {
@@ -57,6 +57,7 @@ impl System {
             perms: BTreeSet::new(),
             seniors: BTreeSet::new(),
             juniors: BTreeSet::new(),
+            junior_closure: BTreeSet::new(),
             enabled: true,
             activation_cap: None,
         }));
@@ -68,10 +69,7 @@ impl System {
     /// users, dropping grants, hierarchy edges and SoD memberships.
     pub fn delete_role(&mut self, r: RoleId) -> Result<()> {
         let rec = self.role(r)?.clone();
-        // Deactivate in every session.
-        for s in self.all_sessions().collect::<Vec<_>>() {
-            self.retain_active(s, |active| active != r);
-        }
+        self.sessions.deactivate_everywhere(r);
         for u in rec.users {
             if let Ok(user) = self.user_mut(u) {
                 user.roles.remove(&r);
@@ -95,6 +93,7 @@ impl System {
         }
         self.role_names.remove(&rec.name);
         self.roles[r.index()] = None;
+        crate::hierarchy::rebuild_junior_closures(&mut self.roles);
         Ok(())
     }
 
@@ -150,9 +149,9 @@ impl System {
         self.role_mut(r)?.users.remove(&u);
         // Deactivate roles the user is no longer authorized for.
         let authorized = self.authorized_roles(u)?;
-        let sessions: Vec<SessionId> = self.user(u)?.sessions.iter().copied().collect();
-        for s in sessions {
-            self.retain_active(s, |role| authorized.contains(&role));
+        for s in self.user(u)?.sessions.clone() {
+            self.sessions
+                .retain_active(s, |role| authorized.contains(&role));
         }
         Ok(())
     }
@@ -185,11 +184,7 @@ impl System {
     /// roles (each must be authorized, enabled, and jointly DSD-consistent).
     pub fn create_session(&mut self, u: UserId, initial: &[RoleId]) -> Result<SessionId> {
         self.user(u)?;
-        let slot = self.sessions.push(SessionRec {
-            user: u,
-            active: BTreeSet::new(),
-        });
-        let id = SessionId(u32::try_from(slot).expect("session count fits u32"));
+        let id = self.sessions.open(u);
         self.user_mut(u)?.sessions.insert(id);
         for &r in initial {
             if let Err(e) = self.add_active_role(u, id, r) {
@@ -212,12 +207,8 @@ impl System {
     }
 
     pub(crate) fn delete_session_internal(&mut self, s: SessionId) {
-        if let Some(sess) = self.sessions.take(s.index()) {
-            if let Some(user) = self
-                .users
-                .get_mut(sess.user.index())
-                .and_then(Option::as_mut)
-            {
+        if let Some(owner) = self.sessions.close(s) {
+            if let Ok(user) = self.user_mut(owner) {
                 user.sessions.remove(&s);
             }
         }
@@ -249,7 +240,7 @@ impl System {
         if self.enforce_caps {
             self.check_caps(u, s, r)?;
         }
-        self.session_mut(s)?.active.insert(r);
+        self.sessions.activate(s, r);
         Ok(())
     }
 
@@ -262,7 +253,7 @@ impl System {
         if !sess.active.contains(&r) {
             return Err(RbacError::RoleNotActive(s, r));
         }
-        self.session_mut(s)?.active.remove(&r);
+        self.sessions.deactivate(s, r);
         Ok(())
     }
 
@@ -300,15 +291,18 @@ impl System {
     /// layers can react (alert, cascade, …).
     pub fn disable_role(&mut self, r: RoleId, deactivate: bool) -> Result<Vec<SessionId>> {
         self.role_mut(r)?.enabled = false;
-        let mut affected = Vec::new();
         if deactivate {
-            for s in self.all_sessions().collect::<Vec<_>>() {
-                if self.retain_active(s, |active| active != r) {
-                    affected.push(s);
-                }
-            }
+            self.deactivate_everywhere(r)
+        } else {
+            Ok(Vec::new())
         }
-        Ok(affected)
+    }
+
+    /// Drop `r` from every session that has it active, leaving its
+    /// enabling status alone; the affected sessions, in ascending order.
+    pub fn deactivate_everywhere(&mut self, r: RoleId) -> Result<Vec<SessionId>> {
+        self.role(r)?;
+        Ok(self.sessions.deactivate_everywhere(r))
     }
 
     // ---- activation caps (paper Rule 4) ---------------------------------------------
@@ -339,20 +333,17 @@ impl System {
     /// Distinct users with `r` active in at least one session.
     pub fn active_users_of_role(&self, r: RoleId) -> Result<usize> {
         self.role(r)?;
-        Ok(self.users_active_in(r).len())
+        Ok(self.sessions.users_holding(r))
     }
 
-    /// Distinct users with `r` active, found by a sweep over every
-    /// session slot. Written as one iterator chain on purpose: `collect`
-    /// drives the table's chunked iterator from the inside, as nested
-    /// loops, which a `for` over it does not get.
-    fn users_active_in(&self, r: RoleId) -> BTreeSet<UserId> {
-        self.sessions
-            .iter()
-            .flatten()
-            .filter(|sess| sess.active.contains(&r))
-            .map(|sess| sess.user)
-            .collect()
+    /// Is `r` active in at least one session?
+    pub fn role_active_anywhere(&self, r: RoleId) -> bool {
+        self.sessions.users_holding(r) > 0
+    }
+
+    /// Does `u` have `r` active in at least one of their sessions?
+    pub fn user_active_in_role(&self, u: UserId, r: RoleId) -> bool {
+        self.sessions.user_holds(u, r)
     }
 
     /// Distinct roles `u` has active across all their sessions.
@@ -371,8 +362,7 @@ impl System {
         if let Some(max) = self.role(r)?.activation_cap {
             // The activating user may already be active in the role in
             // another session; only *new* users count against the cap.
-            let users = self.users_active_in(r);
-            if !users.contains(&u) && users.len() >= max {
+            if !self.sessions.user_holds(u, r) && self.sessions.users_holding(r) >= max {
                 return Err(RbacError::CardinalityExceeded { role: r, max });
             }
         }

@@ -4,11 +4,48 @@
 //! acquire the user membership of their seniors." The hierarchy is a DAG of
 //! immediate edges; authorization and permission queries take the reflexive
 //! transitive closure.
+//!
+//! The downward closure is what every access check and authorization asks
+//! for, so each role carries its strict junior closure as derived state
+//! (`RoleRec::junior_closure`): extended in place when an edge is added,
+//! recomputed when an edge or a role is deleted, and, being derived, not
+//! serialized but recomputed when the roles are read back.
 
 use crate::error::{RbacError, Result};
 use crate::ids::{PermId, RoleId, UserId};
-use crate::system::{HierarchyKind, System};
+use crate::system::{HierarchyKind, RoleRec, System};
 use std::collections::BTreeSet;
+
+/// Roles reachable from `r` over immediate edges, upward or downward
+/// (excluding `r`).
+fn reachable(roles: &[Option<RoleRec>], r: RoleId, up: bool) -> BTreeSet<RoleId> {
+    let mut seen = BTreeSet::new();
+    let mut stack = vec![r];
+    while let Some(cur) = stack.pop() {
+        let Some(rec) = roles.get(cur.index()).and_then(Option::as_ref) else {
+            continue;
+        };
+        let next = if up { &rec.seniors } else { &rec.juniors };
+        for &n in next {
+            if seen.insert(n) {
+                stack.push(n);
+            }
+        }
+    }
+    seen
+}
+
+/// Recompute every role's junior closure from the immediate edges.
+pub(crate) fn rebuild_junior_closures(roles: &mut [Option<RoleRec>]) {
+    let closures: Vec<BTreeSet<RoleId>> = (0..roles.len())
+        .map(|i| reachable(roles, RoleId(i as u32), false))
+        .collect();
+    for (rec, closure) in roles.iter_mut().zip(closures) {
+        if let Some(rec) = rec {
+            rec.junior_closure = closure;
+        }
+    }
+}
 
 impl System {
     /// `AddInheritance`: make `senior ⪰ junior` an immediate edge.
@@ -28,7 +65,7 @@ impl System {
             return Err(RbacError::InheritanceExists(senior, junior));
         }
         // Cycle: senior must not already be junior-reachable from `junior`.
-        if self.juniors_closure(junior)?.contains(&senior) {
+        if self.role(junior)?.junior_closure.contains(&senior) {
             return Err(RbacError::HierarchyCycle(senior, junior));
         }
         if self.hierarchy_kind() == HierarchyKind::Limited && !self.role(junior)?.seniors.is_empty()
@@ -39,10 +76,19 @@ impl System {
         // authorized for the new senior (they gain the junior's subtree).
         self.role_mut(senior)?.juniors.insert(junior);
         self.role_mut(junior)?.seniors.insert(senior);
+        // `senior` and everything above it gain `junior` and its closure.
+        let mut gained = self.role(junior)?.junior_closure.clone();
+        gained.insert(junior);
+        let mut gainers = self.seniors_closure(senior)?;
+        gainers.insert(senior);
+        for g in gainers {
+            self.role_mut(g)?.junior_closure.extend(&gained);
+        }
         let check = self.check_all_users_ssd();
         if let Err(e) = check {
             self.role_mut(senior)?.juniors.remove(&junior);
             self.role_mut(junior)?.seniors.remove(&senior);
+            rebuild_junior_closures(&mut self.roles);
             return Err(e);
         }
         Ok(())
@@ -59,12 +105,12 @@ impl System {
         }
         self.role_mut(senior)?.juniors.remove(&junior);
         self.role_mut(junior)?.seniors.remove(&senior);
+        rebuild_junior_closures(&mut self.roles);
         // Deactivate newly unauthorized roles.
         for u in self.all_users().collect::<Vec<_>>() {
             let authorized = self.authorized_roles(u)?;
-            let sessions: Vec<_> = self.user(u)?.sessions.iter().copied().collect();
-            for s in sessions {
-                self.retain_active(s, |r| authorized.contains(&r));
+            for s in self.user(u)?.sessions.clone() {
+                self.sessions.retain_active(s, |r| authorized.contains(&r));
             }
         }
         Ok(())
@@ -98,28 +144,13 @@ impl System {
 
     /// All roles reachable downward from `r` (excluding `r`).
     pub fn juniors_closure(&self, r: RoleId) -> Result<BTreeSet<RoleId>> {
-        self.closure(r, false)
+        Ok(self.role(r)?.junior_closure.clone())
     }
 
     /// All roles reachable upward from `r` (excluding `r`).
     pub fn seniors_closure(&self, r: RoleId) -> Result<BTreeSet<RoleId>> {
-        self.closure(r, true)
-    }
-
-    fn closure(&self, r: RoleId, up: bool) -> Result<BTreeSet<RoleId>> {
         self.role(r)?;
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![r];
-        while let Some(cur) = stack.pop() {
-            let rec = self.role(cur)?;
-            let next = if up { &rec.seniors } else { &rec.juniors };
-            for &n in next {
-                if seen.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        Ok(seen)
+        Ok(reachable(&self.roles, r, true))
     }
 
     /// Does `senior ⪰ junior` hold in the closure (reflexive)?
@@ -128,16 +159,17 @@ impl System {
             self.role(senior)?;
             return Ok(true);
         }
-        Ok(self.juniors_closure(senior)?.contains(&junior))
+        Ok(self.role(senior)?.junior_closure.contains(&junior))
     }
 
     /// Roles the user may activate: direct assignments plus all juniors of
     /// those assignments ("junior roles acquire the user membership of their
     /// seniors").
     pub fn authorized_roles(&self, u: UserId) -> Result<BTreeSet<RoleId>> {
-        let mut out = self.user(u)?.roles.clone();
-        for r in self.user(u)?.roles.clone() {
-            out.extend(self.juniors_closure(r)?);
+        let assigned = &self.user(u)?.roles;
+        let mut out = assigned.clone();
+        for &r in assigned {
+            out.extend(&self.role(r)?.junior_closure);
         }
         Ok(out)
     }
@@ -149,8 +181,8 @@ impl System {
         if assigned.contains(&r) {
             return Ok(true);
         }
-        for &s in &self.seniors_closure(r)? {
-            if assigned.contains(&s) {
+        for &a in assigned {
+            if self.role(a)?.junior_closure.contains(&r) {
                 return Ok(true);
             }
         }
@@ -168,19 +200,21 @@ impl System {
 
     /// Permissions of `r` including everything inherited from juniors.
     pub fn role_perms_closure(&self, r: RoleId) -> Result<BTreeSet<PermId>> {
-        let mut out = self.role(r)?.perms.clone();
-        for j in self.juniors_closure(r)? {
-            out.extend(self.role(j)?.perms.iter().copied());
+        let rec = self.role(r)?;
+        let mut out = rec.perms.clone();
+        for &j in &rec.junior_closure {
+            out.extend(&self.role(j)?.perms);
         }
         Ok(out)
     }
 
     /// Does `r` hold `p` directly or via a junior?
     pub fn role_has_perm_closure(&self, r: RoleId, p: PermId) -> Result<bool> {
-        if self.role(r)?.perms.contains(&p) {
+        let rec = self.role(r)?;
+        if rec.perms.contains(&p) {
             return Ok(true);
         }
-        for j in self.juniors_closure(r)? {
+        for &j in &rec.junior_closure {
             if self.role(j)?.perms.contains(&p) {
                 return Ok(true);
             }
@@ -219,6 +253,34 @@ mod tests {
         assert!(s.dominates(pm, clerk).unwrap());
         assert!(s.dominates(pm, pm).unwrap());
         assert!(!s.dominates(clerk, pm).unwrap());
+    }
+
+    /// The closure is derived: absent from the stored form (which is byte
+    /// for byte what it was before the closure existed), back after a
+    /// read, and put right when an edge is refused after it was tried.
+    #[test]
+    fn junior_closure_is_derived_not_stored() {
+        let (mut s, pm, pc, clerk) = chain();
+        assert_eq!(
+            serde_json::to_string(&s.roles[pc.index()]).unwrap(),
+            r#"{"name":"PC","users":[],"perms":[],"seniors":[0],"juniors":[2],"enabled":true,"activation_cap":null}"#
+        );
+        let back: System = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        assert_eq!(back.role(pm).unwrap().junior_closure, [pc, clerk].into());
+        assert_eq!(back.role(clerk).unwrap().junior_closure, BTreeSet::new());
+
+        // ann holds `other`, which an SSD set keeps apart from clerk: an
+        // edge other ⪰ PC would authorize her for both and is refused.
+        let other = s.add_role("other").unwrap();
+        let ann = s.add_user("ann").unwrap();
+        s.assign_user(ann, other).unwrap();
+        s.create_ssd_set("apart", &[other, clerk], 2).unwrap();
+        assert!(matches!(
+            s.add_inheritance(other, pc),
+            Err(RbacError::SsdInheritanceConflict { .. })
+        ));
+        assert_eq!(s.role(other).unwrap().junior_closure, BTreeSet::new());
+        assert_eq!(s.authorized_roles(ann).unwrap(), [other].into());
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub mod dsd;
 pub mod error;
 pub mod hierarchy;
 pub mod ids;
+#[cfg(test)]
+mod oracle;
 pub mod review;
 pub mod sessions;
 pub mod ssd;

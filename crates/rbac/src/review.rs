@@ -28,44 +28,14 @@ impl System {
         Ok(self.role(r)?.perms.clone())
     }
 
-    /// Permission closures of every live role in one pass (role → direct
-    /// permissions plus everything inherited from juniors). A single
-    /// memoized walk over the junior DAG, so shared juniors are expanded
-    /// once rather than once per senior — this is what a read-path
-    /// snapshot captures instead of issuing per-role
+    /// Permission closures of every live role (role → direct permissions
+    /// plus everything inherited from juniors): what a read-path snapshot
+    /// captures instead of issuing per-role
     /// [`role_permissions`](Self::role_permissions) calls under the lock.
     pub fn all_role_perm_closures(&self) -> HashMap<RoleId, BTreeSet<PermId>> {
-        let mut done: HashMap<RoleId, BTreeSet<PermId>> = HashMap::new();
-        for start in self.all_roles() {
-            if done.contains_key(&start) {
-                continue;
-            }
-            // Iterative post-order: expand juniors first, then fold their
-            // finished closures into the parent.
-            let mut stack = vec![(start, false)];
-            let mut on_stack: BTreeSet<RoleId> = BTreeSet::new();
-            while let Some((r, expanded)) = stack.pop() {
-                let Ok(rec) = self.role(r) else { continue };
-                if expanded {
-                    on_stack.remove(&r);
-                    let mut acc = rec.perms.clone();
-                    for j in &rec.juniors {
-                        if let Some(c) = done.get(j) {
-                            acc.extend(c.iter().copied());
-                        }
-                    }
-                    done.insert(r, acc);
-                } else if !done.contains_key(&r) && on_stack.insert(r) {
-                    stack.push((r, true));
-                    for &j in &rec.juniors {
-                        if !done.contains_key(&j) && !on_stack.contains(&j) {
-                            stack.push((j, false));
-                        }
-                    }
-                }
-            }
-        }
-        done
+        self.all_roles()
+            .filter_map(|r| Some((r, self.role_perms_closure(r).ok()?)))
+            .collect()
     }
 
     /// `UserPermissions(u)`: permissions of every role the user is

@@ -18,7 +18,7 @@
 
 use crate::error::{RbacError, Result};
 use crate::ids::{DsdId, ObjId, OpId, PermId, RoleId, SessionId, SsdId, UserId};
-use crate::sessions::SessionTable;
+use crate::sessions::{SessionTable, Sessions};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
@@ -55,6 +55,9 @@ pub(crate) struct RoleRec {
     pub seniors: BTreeSet<RoleId>,
     /// Immediate juniors.
     pub juniors: BTreeSet<RoleId>,
+    /// Derived (see [`crate::hierarchy`]): every role below this one.
+    #[serde(skip)]
+    pub junior_closure: BTreeSet<RoleId>,
     /// Temporal state: a disabled role cannot be activated (GTRBAC).
     pub enabled: bool,
     /// Paper Rule 4: max distinct users active in this role at once.
@@ -91,8 +94,9 @@ pub(crate) struct SodSet {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct System {
     pub(crate) users: Vec<Option<UserRec>>,
+    #[serde(with = "serde_roles")]
     pub(crate) roles: Vec<Option<RoleRec>>,
-    pub(crate) sessions: SessionTable,
+    pub(crate) sessions: Sessions,
     pub(crate) ops: Vec<String>,
     pub(crate) objs: Vec<String>,
     pub(crate) perms: Vec<Permission>,
@@ -178,30 +182,7 @@ impl System {
     }
 
     pub(crate) fn session(&self, s: SessionId) -> Result<&SessionRec> {
-        self.sessions
-            .get(s.index())
-            .ok_or(RbacError::NoSuchSession(s))
-    }
-
-    pub(crate) fn session_mut(&mut self, s: SessionId) -> Result<&mut SessionRec> {
-        self.sessions
-            .get_mut(s.index())
-            .ok_or(RbacError::NoSuchSession(s))
-    }
-
-    /// Deactivate in session `s` every role `keep` rejects; true if any
-    /// was active. Looks before it writes: on a table a snapshot shares,
-    /// `session_mut` copies the session's chunk, which a sweep over every
-    /// session must not pay for the ones it leaves as they are.
-    pub(crate) fn retain_active(&mut self, s: SessionId, keep: impl Fn(RoleId) -> bool) -> bool {
-        let drops = |rec: &SessionRec| rec.active.iter().any(|&r| !keep(r));
-        if !self.sessions.get(s.index()).is_some_and(drops) {
-            return false;
-        }
-        if let Some(rec) = self.sessions.get_mut(s.index()) {
-            rec.active.retain(|&r| keep(r));
-        }
-        true
+        self.sessions.get(s).ok_or(RbacError::NoSuchSession(s))
     }
 
     // ---- entity counts (for stats / workload assertions) --------------------
@@ -218,14 +199,14 @@ impl System {
 
     /// Number of open sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.count()
+        self.sessions.table().count()
     }
 
     /// The session table. Cloning it is O(1) and the clone is immutable
     /// from then on (see [`SessionTable`]): the read-path snapshot's view
     /// of SESSIONS.
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        self.sessions.table()
     }
 
     /// Number of distinct permissions ever defined.
@@ -347,6 +328,7 @@ impl System {
     /// All open session ids.
     pub fn all_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
         self.sessions
+            .table()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_some())
@@ -369,6 +351,23 @@ impl System {
             .enumerate()
             .filter(|(_, s)| s.is_some())
             .map(|(i, _)| DsdId(i as u32))
+    }
+}
+
+/// ROLES is written field for field; the junior closures, which are not
+/// stored, are recomputed on the way back in.
+mod serde_roles {
+    use super::RoleRec;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub fn serialize<S: Serializer>(roles: &[Option<RoleRec>], s: S) -> Result<S::Ok, S::Error> {
+        roles.serialize(s)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<Option<RoleRec>>, D::Error> {
+        let mut roles = Vec::<Option<RoleRec>>::deserialize(d)?;
+        crate::hierarchy::rebuild_junior_closures(&mut roles);
+        Ok(roles)
     }
 }
 

@@ -11,24 +11,28 @@
 //! before the names were shared (PR 14's parent) and now, through the
 //! compiled plan / through the reference interpreter:
 //!
-//! | operation              | before  | now    | budget |
-//! |------------------------|---------|--------|--------|
-//! | `check_access` granted | 17 / 18 | 2 / 2  | 2      |
-//! | `check_access` denied  | 29 / 30 | 7 / 7  | 14     |
-//! | `add_active_role`      | 37 / 41 | 6 / 8  | 18     |
-//! | `drop_active_role`     | 22 / 25 | 3 / 5  | 11     |
+//! | operation                | before  | now    | budget |
+//! |--------------------------|---------|--------|--------|
+//! | `check_access` granted   | 17 / 18 | 2 / 2  | 2      |
+//! | ... through a junior     |  5 / 5  | 2 / 2  | 2      |
+//! | `check_access` denied    | 29 / 30 | 6 / 6  | 14     |
+//! | `add_active_role`        | 37 / 41 | 6 / 8  | 18     |
+//! | `drop_active_role`       | 22 / 25 | 3 / 5  | 11     |
 //!
 //! Both evaluators run under one driver and count the same there; the two
 //! extra of an interpreted activation are the engine building the
 //! per-role event name, which the plan's tables resolve ahead of time. The
 //! last three budgets are half of the old compiled-plan counts, rounded
 //! down: a regression that brings back one allocation per key, per
-//! audit entry or per propagation step lands well above them. What the
-//! counts still contain: the request's parameter buffer and the
-//! detector's result vector per raised event (a granted check raises one,
-//! an activation three), the denial's message strings, and whatever the
-//! monitor allocates to answer (one set walk per cardinality check and
-//! per hierarchy walk, paid by the direct baseline too).
+//! audit entry or per propagation step lands well above them. The second
+//! row is a permission the active role holds only through a junior; its
+//! "before" is the commit that still walked the hierarchy per check (a
+//! stack and a set each time), where the monitor now reads the role's
+//! stored junior closure, so an inherited grant costs what a direct one
+//! does. What the counts still contain: the request's parameter buffer
+//! and the detector's result vector per raised event (a granted check
+//! raises one, an activation three), the denial's message strings, and an
+//! index entry per activation.
 
 use owte_core::Engine;
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
@@ -91,13 +95,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 struct Bench {
     engine: Engine,
     user: UserId,
-    /// Holds one active role, which is granted `granted` directly: the
-    /// monitor answers without walking the hierarchy (a walk allocates
-    /// inside `rbac`, for the direct baseline as well).
+    /// Holds one active role, which is granted `granted` directly and
+    /// `inherited` only through a junior.
     session: SessionId,
     /// Authorized for `user`, enabled and not active in `session`.
     extra: RoleId,
     granted: (OpId, ObjId),
+    inherited: (OpId, ObjId),
     denied: (OpId, ObjId),
 }
 
@@ -134,7 +138,14 @@ fn bench(compiled: bool) -> Bench {
                     && trial.drop_active_role(user, session, r).is_ok()
             })
             .collect();
-        let [base, extra, ..] = usable[..] else {
+        // The base role is one with juniors, for the inherited grant.
+        let Some(&base) = usable
+            .iter()
+            .find(|&&r| trial.system().in_hierarchy(r) == Ok(true))
+        else {
+            continue;
+        };
+        let Some(&extra) = usable.iter().find(|&&r| r != base) else {
             continue;
         };
         let direct = trial
@@ -151,21 +162,24 @@ fn bench(compiled: bool) -> Bench {
             .add_active_role(user, session, base)
             .expect("activated before");
         let holds = |(op, obj): (OpId, ObjId)| trial.system().check_access(session, op, obj);
-        let granted = pairs.iter().find(|&&(_, direct)| direct).map(|&(p, _)| p);
-        let denied = pairs
-            .iter()
-            .map(|&(p, _)| p)
-            .find(|&p| holds(p) == Ok(false));
-        let (Some(granted), Some(denied)) = (granted, denied) else {
+        let find = |direct: bool, held: bool| {
+            let mut found = pairs
+                .iter()
+                .filter(|&&(p, d)| d == direct && holds(p) == Ok(held));
+            found.next().map(|&(p, _)| p)
+        };
+        let (Some(granted), Some(inherited), Some(denied)) =
+            (find(true, true), find(false, true), find(false, false))
+        else {
             continue;
         };
-        assert_eq!(holds(granted), Ok(true));
         return Bench {
             engine: trial,
             user,
             session,
             extra,
             granted,
+            inherited,
             denied,
         };
     }
@@ -184,13 +198,19 @@ fn worst(b: &mut Bench, warm: usize, reps: usize, mut op: impl FnMut(&mut Bench)
         .expect("reps > 0")
 }
 
-/// `[granted check, denied check, add_active_role, drop_active_role]`.
-const BUDGET: [u64; 4] = [2, 14, 18, 11];
+/// `[granted check, inherited grant, denied check, add_active_role,
+/// drop_active_role]`.
+const BUDGET: [u64; 5] = [2, 2, 14, 18, 11];
 
-fn measure(compiled: bool) -> [u64; 4] {
+fn measure(compiled: bool) -> [u64; 5] {
     let mut b = bench(compiled);
     let granted = worst(&mut b, 8, 16, |b| {
         let (op, obj) = b.granted;
+        let ok = b.engine.check_access(b.session, op, obj);
+        assert_eq!(ok, Ok(true));
+    });
+    let inherited = worst(&mut b, 8, 16, |b| {
+        let (op, obj) = b.inherited;
         let ok = b.engine.check_access(b.session, op, obj);
         assert_eq!(ok, Ok(true));
     });
@@ -212,15 +232,15 @@ fn measure(compiled: bool) -> [u64; 4] {
             drop = drop.max(d);
         }
     }
-    [granted, denied, add, drop]
+    [granted, inherited, denied, add, drop]
 }
 
 fn within_budget(compiled: bool) {
     let got = measure(compiled);
     assert!(
         got.iter().zip(BUDGET).all(|(&n, max)| n <= max),
-        "allocations per [granted check, denied check, add_active_role, drop_active_role] \
-         with the plan {}: {got:?}, budget {BUDGET:?}",
+        "allocations per [granted check, inherited grant, denied check, add_active_role, \
+         drop_active_role] with the plan {}: {got:?}, budget {BUDGET:?}",
         if compiled { "armed" } else { "not used" },
     );
 }
