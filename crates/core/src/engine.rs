@@ -16,7 +16,7 @@ use policy::{
     events, CompiledPolicy, InstantiateError, Instantiated, PolicyGraph, RegenReport, VerifyGate,
 };
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
-use sentinel::{AuditLog, ExecReport, Executor, RuleTouch, Runtime};
+use sentinel::{AuditLog, CompiledPool, ExecReport, Executor, RuleTouch, Runtime};
 use serde::{Deserialize, Serialize};
 use snoop::{DetectorError, Dur, EventId, Params, Ts};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -163,9 +163,11 @@ enum Plan {
 }
 
 impl Plan {
-    /// Lower `inst` under the analyzer's verdict.
-    fn lowered(inst: &Instantiated, analysis: &policy::AnalysisReport) -> Plan {
-        policy::compile_pool(inst, analysis).map_or(Plan::Unlicensed, Plan::Armed)
+    /// Lower `inst` under the analyzer's verdict, carrying over what
+    /// `previous` — this engine's plan before `inst` last changed, or an
+    /// empty one — lowered from rules the pool still holds.
+    fn lowered(inst: &Instantiated, verdict: &policy::Verdict, previous: CompiledPool) -> Plan {
+        policy::compile_pool(inst, verdict, previous).map_or(Plan::Unlicensed, Plan::Armed)
     }
 
     /// The plan, lowering `inst` first if that was never tried. The
@@ -174,7 +176,7 @@ impl Plan {
     fn get(&mut self, inst: &Instantiated, provable: bool) -> Option<&CompiledPolicy> {
         if matches!(self, Plan::Untried) {
             *self = if provable {
-                Plan::lowered(inst, &policy::analyze(inst))
+                Plan::lowered(inst, &policy::verdict(inst), CompiledPool::default())
             } else {
                 Plan::Unlicensed
             };
@@ -225,7 +227,7 @@ impl Engine {
         start: Ts,
         gate: VerifyGate,
     ) -> Result<Engine, InstantiateError> {
-        let (inst, report) = policy::instantiate_verified(graph, start, gate)?;
+        let (inst, verdict) = policy::instantiate_verified(graph, start, gate)?;
         let privacy = PrivacyState::from_policy(graph, &inst.binding);
         let context = ContextState::from_policy(graph, &inst.binding);
         // Only trust the termination proof when the gate actually
@@ -233,13 +235,13 @@ impl Engine {
         // stays armed.
         let verified = gate != VerifyGate::Off;
         let exec = Executor {
-            assume_acyclic: verified && report.proved_terminating(),
+            assume_acyclic: verified && verdict.proved_terminating(),
             ..Executor::new()
         };
         // Eagerly lower the verified pool into the compiled plan; an
         // unlicensed pool (or an ungated build) keeps the interpreter.
         let plan = if verified {
-            Plan::lowered(&inst, &report)
+            Plan::lowered(&inst, &verdict, CompiledPool::default())
         } else {
             Plan::Unlicensed
         };
@@ -637,6 +639,16 @@ impl Engine {
         matches!(self.plan, Plan::Armed(_))
     }
 
+    /// How many rules the armed plan's last (re)build lowered itself, the
+    /// rest having been carried over from the plan before it (see
+    /// [`sentinel::compile()`]). `None` when no plan is armed.
+    pub fn plan_rules_lowered(&self) -> Option<usize> {
+        match &self.plan {
+            Plan::Armed(compiled) => Some(compiled.plan.lowered),
+            _ => None,
+        }
+    }
+
     /// Deterministic listing of the compiled plan (dispatch tables,
     /// condition bytecode, bound actions), compiling first if needed.
     /// `None` when the pool is not licensed.
@@ -889,26 +901,39 @@ impl Engine {
     // ---- policy maintenance ----------------------------------------------------
 
     /// Apply a changed policy: incremental rule regeneration when possible,
-    /// full rebuild otherwise (§5's shift-change scenario).
+    /// full rebuild otherwise (§5's shift-change scenario). A policy equal
+    /// to the one in force changes nothing, the write epoch included.
     ///
-    /// The regenerated pool is analyzed before being committed; a pool with
-    /// `Error`-severity diagnostics is refused with
+    /// The regenerated pool is put before the analyzer's gate (the passes
+    /// that can reject, see [`policy::verdict`]) before being committed; a
+    /// pool with `Error`-severity diagnostics is refused with
     /// [`InstantiateError::Rejected`] and the running instantiation is left
     /// untouched. The executor's acyclic fast-path hint follows the new
-    /// pool's termination verdict.
+    /// pool's termination verdict, and the plan lowers again only the rules
+    /// the regeneration replaced.
     pub fn apply_policy(&mut self, new: &PolicyGraph) -> Result<RegenReport, InstantiateError> {
+        if *new == self.inst.graph {
+            return Ok(RegenReport {
+                total_rules: self.inst.pool.len(),
+                ..RegenReport::default()
+            });
+        }
         // A rejected regeneration returns here before the plan is touched:
         // the running pool is unchanged, so the existing compiled plan
         // (baked closures included) remains valid — invalidation and
         // rebuild are atomic with the pool swap below.
-        let (report, analysis) =
+        let (report, verdict) =
             policy::regenerate_verified(&mut self.inst, new, VerifyGate::DenyOnError)?;
         if !matches!(self.plan, Plan::Oracle) {
-            self.plan = Plan::lowered(&self.inst, &analysis);
+            let previous = match std::mem::take(&mut self.plan) {
+                Plan::Armed(compiled) => compiled.plan,
+                _ => CompiledPool::default(),
+            };
+            self.plan = Plan::lowered(&self.inst, &verdict, previous);
         }
         self.view = OnceLock::new();
         self.temporal_horizon = HorizonMemo::default();
-        self.exec.assume_acyclic = analysis.proved_terminating();
+        self.exec.assume_acyclic = verdict.proved_terminating();
         self.privacy = PrivacyState::from_policy(new, &self.inst.binding);
         // Constraints follow the new policy; runtime environment values
         // (where the user *is*) are preserved.
@@ -1131,10 +1156,12 @@ mod tests {
             role: "AM".into(),
             requires: "PM".into(),
         });
+        let (plan, version) = (e.plan_text(), e.state_version());
         let err = e.apply_policy(&bad).unwrap_err();
         assert!(matches!(err, InstantiateError::Rejected(_)), "{err}");
         assert!(e.proved_acyclic(), "old verdict still in force");
         assert!(e.compiled_active(), "rejected change keeps the old plan");
+        assert_eq!((e.plan_text(), e.state_version()), (plan, version));
         // The engine still enforces the old policy.
         let alice = e.user_id("alice").unwrap();
         let pm = e.role_id("PM").unwrap();
@@ -1246,6 +1273,57 @@ mod tests {
             after.contains("Auditor"),
             "plan follows the regenerated pool: {after}"
         );
+    }
+
+    /// Rules a change does not touch keep their lowering; the plan still
+    /// equals the one a restored engine lowers from scratch.
+    #[test]
+    fn incremental_policy_change_lowers_only_what_it_rewrote() {
+        let mut e = xyz_engine();
+        let total = e.pool().len();
+        assert_eq!(e.plan_rules_lowered(), Some(total));
+        let mut g = e.policy().clone();
+        g.role("PM").max_active_users = Some(2);
+        let report = e.apply_policy(&g).unwrap();
+        assert!(!report.full_rebuild);
+        let lowered = e.plan_rules_lowered().unwrap();
+        assert!(
+            0 < lowered && lowered <= report.rules_rewritten && lowered < total,
+            "{lowered} lowered, {report:?}"
+        );
+        let mut restored: Engine =
+            serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert_eq!(e.plan_text(), restored.plan_text());
+        assert_eq!(restored.plan_rules_lowered(), Some(e.pool().len()));
+        // A full rebuild replaces every rule, so nothing is carried.
+        g.role("Auditor");
+        assert!(e.apply_policy(&g).unwrap().full_rebuild);
+        assert_eq!(e.plan_rules_lowered(), Some(e.pool().len()));
+    }
+
+    #[test]
+    fn an_unchanged_policy_changes_nothing() {
+        let mut e = xyz_engine();
+        let mut g = e.policy().clone();
+        g.role("PM").max_active_users = Some(2);
+        e.apply_policy(&g).unwrap();
+        let (version, plan, lowered) = (e.state_version(), e.plan_text(), e.plan_rules_lowered());
+        let view = Arc::clone(e.policy_view());
+        let report = e.apply_policy(&g).unwrap();
+        assert_eq!(
+            report,
+            RegenReport {
+                total_rules: e.pool().len(),
+                ..RegenReport::default()
+            }
+        );
+        assert_eq!(
+            e.state_version(),
+            version,
+            "published snapshots stay current"
+        );
+        assert_eq!((e.plan_text(), e.plan_rules_lowered()), (plan, lowered));
+        assert!(Arc::ptr_eq(&view, e.policy_view()));
     }
 
     #[test]

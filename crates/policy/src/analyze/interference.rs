@@ -22,7 +22,7 @@
 //! certifies the underlying footprints against observed executions.
 
 use super::footprint::{direct_footprints, effective_footprints};
-use super::termination::build_rule_graph;
+use super::termination::RuleGraph;
 use super::{DiagCode, Diagnostic, Severity};
 use sentinel::{Footprint, Region, RulePool, Target};
 use serde::{Deserialize, Serialize};
@@ -156,13 +156,13 @@ fn spans_users(fp: &Footprint) -> bool {
 /// the effect table does not know (each site flagged where it appears —
 /// the report-level dedup collapses repeats).
 pub(crate) fn compute(
+    g: &RuleGraph,
     detector: &Detector,
     pool: &RulePool,
     diagnostics: &mut Vec<Diagnostic>,
 ) -> EffectReport {
-    let g = build_rule_graph(detector, pool);
     let direct = direct_footprints(pool, &g.names);
-    let effective = effective_footprints(&g, &direct);
+    let effective = effective_footprints(g, &direct);
 
     for (i, name) in g.names.iter().enumerate() {
         if !direct[i].opaque {
@@ -345,6 +345,7 @@ pub fn effect_dot(report: &EffectReport) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::termination::build_rule_graph;
     use super::*;
     use sentinel::{attach_rule, ActionSpec, Check, CondExpr, ParamRef, Rule};
     use snoop::Ts;
@@ -365,7 +366,7 @@ mod tests {
         attach_rule(&mut d, &mut pool, assign_rule("r1", a, 1));
         attach_rule(&mut d, &mut pool, assign_rule("r2", b, 2));
         let mut diags = Vec::new();
-        let report = compute(&d, &pool, &mut diags);
+        let report = compute(&build_rule_graph(&d, &pool), &d, &pool, &mut diags);
         assert!(diags.is_empty());
         assert_eq!(report.interference_edges, 0);
         assert_eq!(
@@ -387,7 +388,7 @@ mod tests {
             )
             .then(vec![ActionSpec::Alert("m".into())]),
         );
-        let report = compute(&d, &pool, &mut Vec::new());
+        let report = compute(&build_rule_graph(&d, &pool), &d, &pool, &mut Vec::new());
         assert_eq!(report.classes.len(), 1);
         assert_eq!(report.interference_edges, 2);
         assert!(report.interferes("r1", "watch"));
@@ -418,7 +419,7 @@ mod tests {
                 params: vec![],
             }]),
         );
-        let report = compute(&d, &pool, &mut Vec::new());
+        let report = compute(&build_rule_graph(&d, &pool), &d, &pool, &mut Vec::new());
         assert_eq!(
             report.independent_events,
             vec!["a".to_string()],
@@ -459,7 +460,7 @@ mod tests {
             )
             .then(vec![ActionSpec::Alert("busy".into())]),
         );
-        let report = compute(&d, &pool, &mut Vec::new());
+        let report = compute(&build_rule_graph(&d, &pool), &d, &pool, &mut Vec::new());
         assert_eq!(
             report.cross_user_footprints(),
             vec!["aggregate".to_string()]
@@ -488,7 +489,7 @@ mod tests {
             }]),
         );
         let mut diags = Vec::new();
-        let report = compute(&d, &pool, &mut diags);
+        let report = compute(&build_rule_graph(&d, &pool), &d, &pool, &mut diags);
         assert_eq!(diags.len(), 2, "one per site (read and write lens)");
         assert_eq!(diags[0], diags[1], "identical — the report dedups them");
         assert_eq!(diags[0].code, DiagCode::OpaqueFootprint);

@@ -37,6 +37,13 @@
 //!   declared footprints against every access the executor actually
 //!   performs.
 //!
+//! Only the termination and coverage passes can find an
+//! [`Severity::Error`]; condition and effect analysis describe the pool
+//! and never refuse it. [`verdict`] therefore runs those two passes alone
+//! — it is what the verification gate and the compilation license decide
+//! on, every time a policy changes — and [`analyze`] is that same verdict
+//! plus the report-only passes.
+//!
 //! The analysis is a sound over-approximation of reachability (it ignores
 //! runtime conditions, so a reported loop may be cut by a condition in
 //! practice) and an under-approximation of dead code (only decidable
@@ -59,6 +66,7 @@ use sentinel::RulePool;
 use serde::{Deserialize, Serialize};
 use snoop::Detector;
 use std::fmt;
+use termination::RuleGraph;
 
 /// Machine-readable classification of a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -193,10 +201,7 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// Number of `Error`-severity diagnostics.
     pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
+        error_count(&self.diagnostics)
     }
 
     /// Number of `Warning`-severity diagnostics.
@@ -243,24 +248,53 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
-/// Analyze an instantiated policy.
-pub fn analyze(inst: &Instantiated) -> AnalysisReport {
-    analyze_parts(&inst.graph, &inst.detector, &inst.pool)
+/// What the verification gate decides on: the outcome of the passes that
+/// can reject a pool. Termination and coverage are the only passes that
+/// emit [`Severity::Error`], so a pool this verdict accepts is a pool the
+/// full [`analyze`] report has no error for, and the other way round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Verdict {
+    /// The cascade-termination verdict.
+    pub termination: Termination,
+    /// The findings of the termination and coverage passes, errors first,
+    /// in the order the full report lists them.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Number of live rules analyzed.
+    pub rules: usize,
+    /// Number of registered events in the detector.
+    pub events: usize,
 }
 
-/// Analyze the parts directly (useful mid-regeneration, before an
-/// [`Instantiated`] is assembled).
-pub fn analyze_parts(graph: &PolicyGraph, detector: &Detector, pool: &RulePool) -> AnalysisReport {
-    let mut diagnostics = Vec::new();
-    let termination = termination::check(detector, pool, &mut diagnostics);
-    let max_sync_depth =
-        termination::max_sync_depth(&termination::build_rule_graph(detector, pool));
-    conditions::check(detector, pool, &mut diagnostics);
-    coverage::check(graph, detector, pool, &mut diagnostics);
-    let effects = interference::compute(detector, pool, &mut diagnostics);
-    // Deterministic order over *every* field, then collapse duplicates —
-    // the same finding can be reached through several closure paths (or,
-    // for opaque footprints, several sites in one rule).
+impl Verdict {
+    /// Shorthand for [`Termination::is_proved`].
+    pub fn proved_terminating(&self) -> bool {
+        self.termination.is_proved()
+    }
+
+    /// Number of `Error`-severity diagnostics.
+    pub fn error_count(&self) -> usize {
+        error_count(&self.diagnostics)
+    }
+
+    /// The `Error`-severity diagnostics: what a refusing gate reports.
+    pub fn into_errors(self) -> Vec<Diagnostic> {
+        let mut diagnostics = self.diagnostics;
+        diagnostics.retain(|d| d.severity == Severity::Error);
+        diagnostics
+    }
+}
+
+fn error_count(diagnostics: &[Diagnostic]) -> usize {
+    diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .count()
+}
+
+/// Deterministic order over *every* field, then collapse duplicates — the
+/// same finding can be reached through several closure paths (or, for
+/// opaque footprints, several sites in one rule).
+fn canonical(diagnostics: &mut Vec<Diagnostic>) {
     diagnostics.sort_by(|a, b| {
         (
             a.severity, a.code, &a.message, &a.rules, &a.events, &a.roles, &a.hint,
@@ -270,21 +304,83 @@ pub fn analyze_parts(graph: &PolicyGraph, detector: &Detector, pool: &RulePool) 
             ))
     });
     diagnostics.dedup();
-    AnalysisReport {
-        termination,
-        diagnostics,
-        rules: pool.len(),
-        events: detector.event_ids().count(),
-        max_sync_depth,
-        effects,
+}
+
+/// A pool under analysis, with its rule-dependency graph built once: the
+/// termination proof, the depth bound, the effect closure and the DOT
+/// export all walk this graph, none builds its own.
+struct Subject<'a> {
+    detector: &'a Detector,
+    pool: &'a RulePool,
+    rules: RuleGraph,
+}
+
+impl<'a> Subject<'a> {
+    fn new(detector: &'a Detector, pool: &'a RulePool) -> Subject<'a> {
+        Subject {
+            detector,
+            pool,
+            rules: termination::build_rule_graph(detector, pool),
+        }
     }
+
+    /// The passes that can reject.
+    fn verdict(&self, graph: &PolicyGraph) -> Verdict {
+        let mut diagnostics = Vec::new();
+        let termination = termination::check(&self.rules, &mut diagnostics);
+        coverage::check(graph, self.detector, self.pool, &mut diagnostics);
+        canonical(&mut diagnostics);
+        Verdict {
+            termination,
+            diagnostics,
+            rules: self.pool.len(),
+            events: self.detector.event_ids().count(),
+        }
+    }
+
+    /// The passes that only describe, added to `verdict`.
+    fn report(&self, verdict: Verdict) -> AnalysisReport {
+        let mut diagnostics = verdict.diagnostics;
+        conditions::check(self.detector, self.pool, &mut diagnostics);
+        let effects =
+            interference::compute(&self.rules, self.detector, self.pool, &mut diagnostics);
+        canonical(&mut diagnostics);
+        AnalysisReport {
+            termination: verdict.termination,
+            diagnostics,
+            rules: verdict.rules,
+            events: verdict.events,
+            max_sync_depth: termination::max_sync_depth(&self.rules),
+            effects,
+        }
+    }
+}
+
+/// Run the passes that can reject an instantiated policy's pool: what
+/// [`crate::instantiate_verified`], [`crate::regenerate_verified`] and
+/// [`crate::compile_pool`] decide on.
+pub fn verdict(inst: &Instantiated) -> Verdict {
+    Subject::new(&inst.detector, &inst.pool).verdict(&inst.graph)
+}
+
+/// Analyze an instantiated policy: the [`verdict`] plus the report-only
+/// passes (conditions, effect footprints and interference).
+pub fn analyze(inst: &Instantiated) -> AnalysisReport {
+    analyze_parts(&inst.graph, &inst.detector, &inst.pool)
+}
+
+/// Analyze the parts directly (useful mid-regeneration, before an
+/// [`Instantiated`] is assembled).
+pub fn analyze_parts(graph: &PolicyGraph, detector: &Detector, pool: &RulePool) -> AnalysisReport {
+    let subject = Subject::new(detector, pool);
+    subject.report(subject.verdict(graph))
 }
 
 /// Render the rule-dependency graph in Graphviz DOT. Solid edges are
 /// synchronous (the raised event can trigger the target rule within the
 /// same dispatch); dashed edges only fire through a later timer.
 pub fn rule_dependency_dot(detector: &Detector, pool: &RulePool) -> String {
-    let g = termination::build_rule_graph(detector, pool);
+    let g = Subject::new(detector, pool).rules;
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("digraph rules {\n  rankdir=LR;\n  node [shape=box];\n");
     for (i, name) in g.names.iter().enumerate() {

@@ -240,14 +240,9 @@ pub(crate) fn max_sync_depth(g: &RuleGraph) -> Option<usize> {
     Some(depth.into_iter().max().unwrap_or(0))
 }
 
-/// Run the termination analysis: compute the verdict and append loop
-/// diagnostics.
-pub(crate) fn check(
-    detector: &Detector,
-    pool: &RulePool,
-    diagnostics: &mut Vec<Diagnostic>,
-) -> Termination {
-    let g = build_rule_graph(detector, pool);
+/// Run the termination analysis over the pool's rule graph: compute the
+/// verdict and append loop diagnostics.
+pub(crate) fn check(g: &RuleGraph, diagnostics: &mut Vec<Diagnostic>) -> Termination {
     let mut cycles: Vec<Vec<String>> = Vec::new();
 
     // A node lies on a synchronous cycle when its sync-only SCC is
@@ -274,7 +269,7 @@ pub(crate) fn check(
         let sync_start = comp.iter().copied().find(|&v| on_sync_cycle[v]);
         let names: Vec<String> = comp.iter().map(|&i| g.names[i].clone()).collect();
         if let Some(start) = sync_start {
-            let path = cycle_path(&g, &comp, true, start);
+            let path = cycle_path(g, &comp, true, start);
             diagnostics.push(Diagnostic {
                 severity: Severity::Error,
                 code: super::DiagCode::RuleLoop,
@@ -291,7 +286,7 @@ pub(crate) fn check(
             });
             cycles.push(path);
         } else {
-            let path = cycle_path(&g, &comp, false, comp[0]);
+            let path = cycle_path(g, &comp, false, comp[0]);
             diagnostics.push(Diagnostic {
                 severity: Severity::Warning,
                 code: super::DiagCode::TimerLoop,
@@ -342,7 +337,10 @@ mod tests {
         );
         attach_rule(&mut d, &mut pool, Rule::new("r2", b, CondExpr::True));
         let mut diags = Vec::new();
-        assert_eq!(check(&d, &pool, &mut diags), Termination::ProvedTerminating);
+        assert_eq!(
+            check(&build_rule_graph(&d, &pool), &mut diags),
+            Termination::ProvedTerminating
+        );
         assert!(diags.is_empty());
         assert_eq!(
             max_sync_depth(&build_rule_graph(&d, &pool)),
@@ -394,7 +392,7 @@ mod tests {
             Rule::new("echo", a, CondExpr::True).then(vec![raise("a")]),
         );
         let mut diags = Vec::new();
-        let verdict = check(&d, &pool, &mut diags);
+        let verdict = check(&build_rule_graph(&d, &pool), &mut diags);
         assert!(matches!(verdict, Termination::PotentialLoop { .. }));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, super::super::DiagCode::RuleLoop);
@@ -419,7 +417,7 @@ mod tests {
             Rule::new("pong", b, CondExpr::True).otherwise(vec![raise("a")]),
         );
         let mut diags = Vec::new();
-        let verdict = check(&d, &pool, &mut diags);
+        let verdict = check(&build_rule_graph(&d, &pool), &mut diags);
         let Termination::PotentialLoop { cycles } = verdict else {
             panic!("expected loop");
         };
@@ -443,7 +441,7 @@ mod tests {
         let _ = a;
         let mut diags = Vec::new();
         assert_eq!(
-            check(&d, &pool, &mut diags),
+            check(&build_rule_graph(&d, &pool), &mut diags),
             Termination::ProvedTerminating,
             "delayed cycles do not break per-dispatch termination"
         );
@@ -475,7 +473,7 @@ mod tests {
         // through_seq: a synchronous cycle through a composite node.
         let mut diags = Vec::new();
         assert!(matches!(
-            check(&d, &pool, &mut diags),
+            check(&build_rule_graph(&d, &pool), &mut diags),
             Termination::PotentialLoop { .. }
         ));
         assert_eq!(diags[0].severity, Severity::Error);

@@ -5,16 +5,18 @@
 //! memberships baked into dense arrays — and enforces the **license**:
 //! only a pool the static analyzer proved terminating with zero errors
 //! may be lowered. The license is what makes baking sound: a licensed
-//! pool only references registered events, and the baked closures are
-//! invalidated with the plan whenever `regenerate_verified` rebuilds the
-//! pool (hierarchy and SoD sets only change through regeneration).
+//! pool only references registered events, and the baked closures go with
+//! the rules they are baked into: hierarchy and SoD sets only change
+//! through a regeneration that rebuilds the whole pool
+//! ([`crate::needs_full_rebuild`]), after which no rule of the previous
+//! plan is carried over (see [`sentinel::compile()`]).
 //!
 //! Beyond the rule plan itself, [`CompiledPolicy`] pre-resolves the
 //! engine's operation entry points (per-role activation/enablement events
 //! and the fixed administrative events) to [`EventId`]s, so the hot path
 //! skips the `format!`-and-name-lookup on every operation.
 
-use crate::analyze::AnalysisReport;
+use crate::analyze::Verdict;
 use crate::events;
 use crate::generate::Instantiated;
 use rbac::{RoleId, System};
@@ -115,17 +117,29 @@ impl CompileHost for SystemHost<'_> {
 }
 
 /// Lower an instantiated policy under the analyzer's license. Refuses —
-/// with [`CompileError::NotLicensed`] — unless the report proves
-/// termination with zero error diagnostics.
+/// with [`CompileError::NotLicensed`] — unless the verdict proves
+/// termination with zero error diagnostics. Rules `previous` — the plan
+/// of this instantiation before its last regeneration, or an empty one —
+/// lowered from a rule the pool still holds are carried over.
 pub fn compile_pool(
     inst: &Instantiated,
-    report: &AnalysisReport,
+    verdict: &Verdict,
+    previous: CompiledPool,
 ) -> Result<CompiledPolicy, CompileError> {
-    if !report.proved_terminating() || report.error_count() > 0 {
-        return Err(CompileError::NotLicensed(report.summary()));
+    if !verdict.proved_terminating() || verdict.error_count() > 0 {
+        return Err(CompileError::NotLicensed(format!(
+            "termination {}, {} errors",
+            if verdict.proved_terminating() {
+                "proved"
+            } else {
+                "not proved"
+            },
+            verdict.error_count()
+        )));
     }
     let host = SystemHost { sys: &inst.system };
-    let plan = compile_rules(&inst.pool, &inst.detector, &host).map_err(CompileError::Rule)?;
+    let plan =
+        compile_rules(&inst.pool, &inst.detector, &host, previous).map_err(CompileError::Rule)?;
 
     let slots = inst
         .binding
@@ -163,7 +177,7 @@ pub fn compile_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze;
+    use crate::analyze::verdict;
     use crate::generate::instantiate;
     use crate::graph::PolicyGraph;
     use snoop::Ts;
@@ -171,8 +185,7 @@ mod tests {
     #[test]
     fn xyz_pool_compiles_under_license() {
         let inst = instantiate(&PolicyGraph::enterprise_xyz(), Ts::ZERO).unwrap();
-        let report = analyze(&inst);
-        let compiled = compile_pool(&inst, &report).unwrap();
+        let compiled = compile_pool(&inst, &verdict(&inst), CompiledPool::default()).unwrap();
         assert_eq!(compiled.plan.rules.len(), inst.pool.len());
         assert!(compiled.check_access.is_some());
         // Every bound role resolves its activation event.
@@ -188,10 +201,10 @@ mod tests {
     #[test]
     fn unlicensed_pool_is_refused() {
         let inst = instantiate(&PolicyGraph::enterprise_xyz(), Ts::ZERO).unwrap();
-        let mut report = analyze(&inst);
-        report.termination = crate::analyze::Termination::PotentialLoop { cycles: vec![] };
+        let mut unproved = verdict(&inst);
+        unproved.termination = crate::analyze::Termination::PotentialLoop { cycles: vec![] };
         assert!(matches!(
-            compile_pool(&inst, &report),
+            compile_pool(&inst, &unproved, CompiledPool::default()),
             Err(CompileError::NotLicensed(_))
         ));
     }

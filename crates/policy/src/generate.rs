@@ -10,6 +10,7 @@
 //! cascades (Rule 9), plus the globalized check-access (Rule 5),
 //! administrative, and active-security rules.
 
+use crate::analyze::Verdict;
 use crate::consistency::{self, Issue, Severity};
 use crate::events;
 use crate::graph::{PolicyGraph, RoleNode, SecurityAction};
@@ -354,7 +355,7 @@ pub fn instantiate(graph: &PolicyGraph, start: Ts) -> Result<Instantiated, Insta
 /// Whether generation runs the static analyzer and refuses bad pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum VerifyGate {
-    /// Skip the gate: the analysis report is returned but never blocks.
+    /// Skip the gate: the verdict is returned but never blocks.
     Off,
     /// Refuse pools carrying any `Error`-severity diagnostic (warnings
     /// pass). The default.
@@ -362,32 +363,35 @@ pub enum VerifyGate {
     DenyOnError,
 }
 
-/// [`instantiate`], then run the static analyzer ([`crate::analyze`]) over
-/// the generated pool.
+impl VerifyGate {
+    /// Pass `verdict` through, or refuse it with its `Error` diagnostics.
+    pub(crate) fn admit(self, verdict: Verdict) -> Result<Verdict, InstantiateError> {
+        if self == VerifyGate::DenyOnError && verdict.error_count() > 0 {
+            return Err(InstantiateError::Rejected(verdict.into_errors()));
+        }
+        Ok(verdict)
+    }
+}
+
+/// [`instantiate`], then run the passes of the static analyzer that can
+/// reject ([`crate::analyze::verdict`]) over the generated pool.
 ///
 /// With [`VerifyGate::DenyOnError`], a pool carrying `Error`-severity
 /// diagnostics — a synchronous rule loop, an uncovered operation, an
 /// unregistered event reference — is refused with
-/// [`InstantiateError::Rejected`]. The report is returned on success so
+/// [`InstantiateError::Rejected`]. The verdict is returned on success so
 /// callers can act on it (e.g. enable the executor's acyclic fast path
-/// when the termination proof went through).
+/// when the termination proof went through). The report-only passes
+/// (conditions, effects) are [`crate::analyze()`]'s to run, for whoever
+/// reads them.
 pub fn instantiate_verified(
     graph: &PolicyGraph,
     start: Ts,
     gate: VerifyGate,
-) -> Result<(Instantiated, crate::analyze::AnalysisReport), InstantiateError> {
+) -> Result<(Instantiated, Verdict), InstantiateError> {
     let inst = instantiate(graph, start)?;
-    let report = crate::analyze::analyze(&inst);
-    if gate == VerifyGate::DenyOnError && report.error_count() > 0 {
-        return Err(InstantiateError::Rejected(
-            report
-                .diagnostics
-                .into_iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect(),
-        ));
-    }
-    Ok((inst, report))
+    let verdict = gate.admit(crate::analyze::verdict(&inst))?;
+    Ok((inst, verdict))
 }
 
 /// Parameter shorthands.
@@ -406,6 +410,18 @@ fn usr_params() -> Vec<(Key, ParamRef)> {
         ("user".into(), p_user()),
         ("session".into(), p_session()),
         ("role".into(), p_role()),
+    ]
+}
+
+/// Names of the three rules a per-user Δ of (`role`, `user`) generates:
+/// the filter that starts the user's own activation event, the expiry and
+/// the timer cancellation. Regeneration removes them by these names when
+/// the user's Δ is withdrawn.
+pub(crate) fn per_user_delta_rules(role: &str, user: &str) -> [String; 3] {
+    [
+        format!("DELTAS_{role}_{user}"),
+        format!("DELTA_{role}_{user}"),
+        format!("CANCEL_{role}_{user}"),
     ]
 }
 
@@ -642,6 +658,7 @@ pub(crate) fn generate_role(
 
     // ---- Δ-expiry per user (Rule 7's Bob/R3 form) -------------------------
     for (user, delta) in &node.per_user_activation {
+        let [starts, expires, cancels] = per_user_delta_rules(role, user);
         let uid = i64::from(binding.user(user).0);
         let filtered_name = events::user_activation(role, user);
         detector.primitive(&filtered_name);
@@ -655,7 +672,7 @@ pub(crate) fn generate_role(
             detector,
             pool,
             Rule::new(
-                format!("DELTAS_{role}_{user}"),
+                starts,
                 ev_added,
                 CondExpr::check(Check::ParamEquals {
                     name: "user".into(),
@@ -673,7 +690,7 @@ pub(crate) fn generate_role(
             detector,
             pool,
             Rule::new(
-                format!("DELTA_{role}_{user}"),
+                expires,
                 plus,
                 CondExpr::check(Check::RoleActive {
                     session: p_session(),
@@ -698,7 +715,7 @@ pub(crate) fn generate_role(
             detector,
             pool,
             Rule::new(
-                format!("CANCEL_{role}_{user}"),
+                cancels,
                 ev_dropped,
                 CondExpr::check(Check::ParamEquals {
                     name: "user".into(),

@@ -13,6 +13,7 @@
 //! *other* roles too; those fall back to full re-instantiation, which
 //! [`needs_full_rebuild`] detects.
 
+use crate::analyze::Verdict;
 use crate::generate::{self, GenStats, InstantiateError, Instantiated};
 use crate::graph::{PolicyGraph, RoleNode};
 use gtrbac::{BoundedPeriodic, PeriodicWindow};
@@ -122,6 +123,7 @@ pub fn regenerate(
         // An unchanged duration keeps its node; only pending timers go.
         let old_role = inst.graph.role_node(&node.name).cloned();
         let mut stale_deltas = Vec::new();
+        let before = rules_of_role(inst, &node.name);
         if let Some(old) = &old_role {
             if old.max_activation != node.max_activation {
                 stale_deltas.push(crate::events::delta(&node.name));
@@ -129,6 +131,14 @@ pub fn regenerate(
             for user in old.per_user_activation.keys() {
                 if old.per_user_activation.get(user) != node.per_user_activation.get(user) {
                     stale_deltas.push(crate::events::delta_user(&node.name, user));
+                }
+                // A withdrawn per-user Δ takes its rules along: nothing
+                // below regenerates them, and the one that cancels timers
+                // would name an event that is about to be retired.
+                if !node.per_user_activation.contains_key(user) {
+                    for rule in generate::per_user_delta_rules(&node.name, user) {
+                        inst.pool.remove(&rule);
+                    }
                 }
             }
         }
@@ -142,7 +152,6 @@ pub fn regenerate(
         }
 
         // Rewrite the role's rules in place.
-        let before = rules_of_role(inst, &node.name);
         let mut stats = GenStats::default();
         generate::generate_role(
             new,
@@ -164,29 +173,21 @@ pub fn regenerate(
 
 /// [`regenerate`] with the static analyzer as a commit gate.
 ///
-/// The new pool is built on a clone of the instantiation and analyzed
-/// *before* being committed, so a rejected change leaves `inst` exactly as
-/// it was. On success the regeneration report is returned together with
-/// the analysis (e.g. so an engine can refresh its acyclic fast-path hint).
+/// The new pool is built on a clone of the instantiation and put before
+/// the passes that can reject it ([`crate::analyze::verdict`]) *before*
+/// being committed, so a rejected change leaves `inst` exactly as it was.
+/// On success the regeneration report is returned together with the
+/// verdict (e.g. so an engine can refresh its acyclic fast-path hint).
 pub fn regenerate_verified(
     inst: &mut Instantiated,
     new: &PolicyGraph,
     gate: generate::VerifyGate,
-) -> Result<(RegenReport, crate::analyze::AnalysisReport), InstantiateError> {
+) -> Result<(RegenReport, Verdict), InstantiateError> {
     let mut staged = inst.clone();
     let report = regenerate(&mut staged, new)?;
-    let analysis = crate::analyze::analyze(&staged);
-    if gate == generate::VerifyGate::DenyOnError && analysis.error_count() > 0 {
-        return Err(InstantiateError::Rejected(
-            analysis
-                .diagnostics
-                .into_iter()
-                .filter(|d| d.severity == crate::consistency::Severity::Error)
-                .collect(),
-        ));
-    }
+    let verdict = gate.admit(crate::analyze::verdict(&staged))?;
     *inst = staged;
-    Ok((report, analysis))
+    Ok((report, verdict))
 }
 
 /// Names of the live rules scoped to one role (deterministic suffix match).
@@ -285,6 +286,28 @@ mod tests {
                 .activation_limit(inst.binding.role("Nurse"), inst.binding.user("bob")),
             Some(Dur::from_hours(2))
         );
+    }
+
+    #[test]
+    fn withdrawn_per_user_delta_takes_its_rules_along() {
+        use crate::generate::VerifyGate;
+        let base = day_doctor_policy(8, 16);
+        let mut with_delta = base.clone();
+        with_delta
+            .role("Nurse")
+            .per_user_activation
+            .insert("bob".into(), Dur::from_hours(1));
+        let mut inst = generate::instantiate(&base, Ts::ZERO).unwrap();
+        let names = |inst: &Instantiated| -> BTreeSet<String> {
+            inst.pool.iter().map(|(_, r)| r.name.to_string()).collect()
+        };
+        let base_rules = names(&inst);
+        regenerate_verified(&mut inst, &with_delta, VerifyGate::DenyOnError).unwrap();
+        assert!(inst.pool.get_by_name("CANCEL_Nurse_bob").is_some());
+        // The rule that cancels bob's timers names `delta_Nurse_bob`, which
+        // the withdrawal retires: left behind, it fails the gate.
+        regenerate_verified(&mut inst, &base, VerifyGate::DenyOnError).unwrap();
+        assert_eq!(names(&inst), base_rules);
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! unacknowledged suffix is gone by definition of commit). In-flight
 //! messages from the deposed epoch carry the old term and are rejected on
 //! receipt; a crashed old leader is fenced on [`Cluster::restart`] before
-//! it rejoins. The new leader probes followers with an empty `Append` and
-//! re-ships from each follower's acknowledged index.
+//! it rejoins, and a node that was down through a promotion is wiped there
+//! if it journaled anything past the commit index of that promotion:
+//! such a record was never acknowledged, and the new epoch may since have
+//! written another one at its index. The new leader probes followers with
+//! an empty `Append` and re-ships from each follower's acknowledged index.
 //!
 //! ## Follower reads
 //!
@@ -183,6 +186,12 @@ struct Node {
     term: u64,
     /// Published read snapshot (refreshed after every applied batch).
     snap: Option<AuthSnapshot>,
+    /// Set while the node is down, by the first promotion it misses: the
+    /// commit index at that promotion. Records up to it are on every
+    /// disk; whatever this node journaled past it belongs to a term that
+    /// ended unacknowledged, so [`Cluster::restart`] wipes the node rather
+    /// than compare lengths with a leader that has moved on.
+    rejoin_floor: Option<u64>,
 }
 
 /// Leader-side shipping state for one follower.
@@ -254,6 +263,7 @@ impl Cluster {
                 state: NodeState::Up(Box::new(d)),
                 term: 1,
                 snap: Some(snap),
+                rejoin_floor: None,
             });
         }
         Ok(Cluster {
@@ -346,6 +356,13 @@ impl Cluster {
             NodeState::Up(_) => self.nodes[n].snap.as_ref(),
             NodeState::Down(_) => None,
         }
+    }
+
+    /// The commit index of the first promotion node `n` has missed since
+    /// it went down, if any: how much of its log [`Cluster::restart`] will
+    /// trust.
+    pub fn rejoin_floor(&self, n: usize) -> Option<u64> {
+        self.nodes[n].rejoin_floor
     }
 
     /// The leader-side acked index for follower `n`.
@@ -720,9 +737,10 @@ impl Cluster {
 
     /// Restart a crashed node: recover the engine from its own durable
     /// WAL, fence it to the current epoch, and (as a follower) resume
-    /// shipping from its last acknowledged index. A node whose log ran
-    /// past the current leader's belongs to a deposed epoch and is wiped
-    /// for a full resync.
+    /// shipping from its last acknowledged index. A node that holds
+    /// records of a deposed epoch — past the commit index of a promotion
+    /// it missed, or past the current leader's log — is wiped for a full
+    /// resync.
     pub fn restart(&mut self, n: usize) -> Result<RecoveryStats> {
         if n >= self.nodes.len() {
             return Err(ReplError::BadNode(n));
@@ -743,17 +761,17 @@ impl Cluster {
         let stats = d.recovery_stats();
         write_term(d.storage_mut(), self.term).map_err(ReplError::Storage)?;
         self.nodes[n].term = self.term;
-        if let Some(li) = self.leader() {
-            if li != n {
-                let leader_len = self.node_op_count(li).unwrap_or(0);
-                if d.op_count() > leader_len {
-                    // A longer log than the current epoch's leader is a
-                    // relic of a deposed term: wipe and resync.
-                    self.reset_node(n)?;
-                    self.ship();
-                    return Ok(stats);
-                }
-            }
+        // How much of the recovered log is known to be the cluster's:
+        // what was committed when the node's epoch ended, and no more
+        // than the leader of the current one holds.
+        let mut trusted = self.nodes[n].rejoin_floor.take().unwrap_or(u64::MAX);
+        if let Some(li) = self.leader().filter(|&li| li != n) {
+            trusted = trusted.min(self.node_op_count(li).unwrap_or(0));
+        }
+        if d.op_count() > trusted {
+            self.reset_node(n)?;
+            self.ship();
+            return Ok(stats);
         }
         self.nodes[n].snap = Some(d.engine().snapshot());
         self.nodes[n].state = NodeState::Up(Box::new(d));
@@ -798,11 +816,18 @@ impl Cluster {
         let new_len = self.node_op_count(n).expect("liveness checked");
         self.history.truncate(checked_index(new_len));
         self.leader = Some(n);
-        let term = self.term;
+        let (term, commit) = (self.term, self.commit);
         for node in &mut self.nodes {
-            if let NodeState::Up(d) = &mut node.state {
-                node.term = term;
-                write_term(d.storage_mut(), term).map_err(ReplError::Storage)?;
+            match &mut node.state {
+                NodeState::Up(d) => {
+                    node.term = term;
+                    write_term(d.storage_mut(), term).map_err(ReplError::Storage)?;
+                }
+                // Not here to be compared with the new leader's log: what
+                // it holds past today's commit index ends with this term.
+                NodeState::Down(_) => {
+                    node.rejoin_floor.get_or_insert(commit);
+                }
             }
         }
         // Wipe survivors whose logs ran past the new leader's: their
@@ -981,6 +1006,55 @@ mod tests {
         c.settle();
         assert_eq!(c.node_op_count(0).unwrap(), c.history().len() as u64);
         assert_eq!(c.commit(), c.history().len() as u64);
+    }
+
+    /// A deposed leader whose unacknowledged suffix is no longer than what
+    /// the new leader has written since must not keep it: comparing log
+    /// lengths at restart cannot tell `c` at index 1 from `d` at index 1.
+    #[test]
+    fn deposed_leader_restarts_without_its_unacknowledged_suffix() {
+        let mut c = Cluster::new(&policy(), 3, lockstep()).unwrap();
+        let open_session = |d: &mut DurableEngine<ReplStore>| {
+            let ann = d.user_id("ann").unwrap();
+            d.create_session(ann, &[]).unwrap()
+        };
+        // a: acknowledged by everyone.
+        c.with_leader(open_session).unwrap();
+        c.settle();
+        let acked = c.commit();
+        assert_eq!(acked, c.node_op_count(0).unwrap());
+        // c: journaled by the leader only, every Append lost.
+        c.with_leader(open_session).unwrap();
+        while c.transport().in_flight() > 0 {
+            c.transport_mut().drop_slot(0);
+        }
+        let suffix = c.node_op_count(0).unwrap() - acked;
+        assert!(suffix > 0);
+        c.crash(0).unwrap();
+        c.promote(1).unwrap();
+        assert_eq!(c.rejoin_floor(0), Some(acked));
+        // d: a different operation, as long as c, through the new leader.
+        c.with_leader(|d| {
+            let ann = d.user_id("ann").unwrap();
+            let clerk = d.role_id("clerk").unwrap();
+            d.deassign_user(ann, clerk).unwrap();
+        })
+        .unwrap();
+        c.settle();
+        assert_eq!(c.node_op_count(1).unwrap(), acked + suffix);
+        c.restart(0).unwrap();
+        assert_eq!(c.rejoin_floor(0), None);
+        c.settle();
+        assert_eq!(c.commit(), c.history().len() as u64);
+        let expected = replay_state(&c, c.commit());
+        for n in 0..3 {
+            let d = c.node_engine(n).expect("all up");
+            assert_eq!(d.op_count(), c.commit());
+            assert!(
+                crate::state_matches(d.engine(), &expected),
+                "node n{n} diverged from the cluster history"
+            );
+        }
     }
 
     #[test]

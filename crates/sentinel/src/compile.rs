@@ -31,12 +31,12 @@ use crate::effect::Region;
 use crate::executor::{eval_check, id_arg, RuleSource, Triggered};
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::pool::RulePool;
-use crate::rule::RuleId;
+use crate::rule::{Rule, RuleId};
 use crate::state::AuthState;
 use snoop::{Detector, EventId, Occurrence};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Why a pool could not be lowered. Compile failure is non-fatal: the
 /// caller keeps the interpreter.
@@ -181,6 +181,12 @@ pub type BoundActions = Box<[(ActionSpec, Option<EventId>)]>;
 pub struct CompiledRule {
     /// The pool slot this rule was lowered from (live enablement lookup).
     pub pool_id: RuleId,
+    /// The pool's rule this was lowered from, by identity: [`compile`]
+    /// carries the lowering over for as long as the slot holds this very
+    /// `Arc`. Weak, because the plan only remembers the rule — a strong
+    /// handle would make every `Arc::make_mut` in the pool
+    /// ([`RulePool::set_enabled`]) deep-copy the rule it toggles.
+    pub source: Weak<Rule>,
     /// Rule name, shared with the pool's rule (audit entries).
     pub name: Arc<str>,
     /// Triggering event.
@@ -204,51 +210,61 @@ pub struct CompiledPool {
     pub dispatch: Vec<Box<[u32]>>,
     /// All lowered rules, ordered by pool id.
     pub rules: Vec<CompiledRule>,
+    /// How many of `rules` the [`compile`] that built this plan lowered
+    /// itself; the others it carried over from the plan before.
+    pub lowered: usize,
 }
 
 /// Lower a pool against a detector (event resolution) and a host (closure
 /// baking). Fails only on unresolvable event names — which the static
 /// analyzer reports as errors, so a *licensed* pool always compiles.
+///
+/// `previous` is the plan lowered from an earlier state of this pool
+/// (empty for a first lowering). A rule of it is carried over iff the
+/// pool slot still holds the very `Arc` it was lowered from
+/// ([`CompiledRule::source`]): then the rule's text is unchanged, and the
+/// caller guarantees the rest — whatever changes what `host` bakes, or
+/// re-binds an event name an untouched rule refers to, replaces every
+/// rule of the pool, so nothing of `previous` matches and everything is
+/// lowered here.
 pub fn compile(
     pool: &RulePool,
     detector: &Detector,
     host: &dyn CompileHost,
+    previous: CompiledPool,
 ) -> Result<CompiledPool, CompileError> {
-    let mut live: Vec<(RuleId, &crate::rule::Rule)> = pool.iter().collect();
+    let mut live: Vec<(RuleId, &Arc<Rule>)> = pool.iter_shared().collect();
     live.sort_by_key(|(id, _)| *id);
 
+    // Both sides are ordered by pool id: one pass over each.
+    let mut carried = previous.rules.into_iter().peekable();
     let mut rules = Vec::with_capacity(live.len());
     let mut index: HashMap<RuleId, u32> = HashMap::with_capacity(live.len());
-    for (id, rule) in &live {
-        let mut checks = Vec::new();
-        let mut when = Vec::new();
-        lower_cond(
-            &rule.when,
-            &rule.name,
-            detector,
-            host,
-            &mut checks,
-            &mut when,
-        )?;
-        let bind = |specs: &[ActionSpec]| -> Result<BoundActions, CompileError> {
-            specs
-                .iter()
-                .map(|a| Ok((a.clone(), bound_event(a, &rule.name, detector)?)))
-                .collect()
+    let mut lowered = 0;
+    for (id, rule) in live {
+        while carried.next_if(|c| c.pool_id < id).is_some() {}
+        // The `Weak` keeps its allocation from being reused, so an equal
+        // address is the same `Arc`, and the pool holding it keeps the
+        // rule alive.
+        let same = |c: &CompiledRule| {
+            c.pool_id == id && std::ptr::eq(c.source.as_ptr(), Arc::as_ptr(rule))
         };
-        index.insert(
-            *id,
-            u32::try_from(rules.len()).expect("rule count fits u32"),
-        );
-        rules.push(CompiledRule {
-            pool_id: *id,
-            name: Arc::clone(&rule.name),
-            event: rule.event,
-            when: when.into_boxed_slice(),
-            checks: checks.into_boxed_slice(),
-            then: bind(&rule.then)?,
-            otherwise: bind(&rule.otherwise)?,
-        });
+        let compiled = match carried.next_if(same) {
+            Some(kept) => {
+                debug_assert!(
+                    still_bound(&kept, detector),
+                    "rule {} was carried over a change that re-bound one of its events",
+                    kept.name
+                );
+                kept
+            }
+            None => {
+                lowered += 1;
+                lower_rule(id, rule, detector, host)?
+            }
+        };
+        index.insert(id, u32::try_from(rules.len()).expect("rule count fits u32"));
+        rules.push(compiled);
     }
 
     let max_event = rules.iter().map(|r| r.event.0 as usize).max();
@@ -262,7 +278,62 @@ pub fn compile(
             .collect();
         *slot = table.into_boxed_slice();
     }
-    Ok(CompiledPool { dispatch, rules })
+    Ok(CompiledPool {
+        dispatch,
+        rules,
+        lowered,
+    })
+}
+
+/// Lower one rule of the pool.
+fn lower_rule(
+    id: RuleId,
+    rule: &Arc<Rule>,
+    detector: &Detector,
+    host: &dyn CompileHost,
+) -> Result<CompiledRule, CompileError> {
+    let mut checks = Vec::new();
+    let mut when = Vec::new();
+    lower_cond(
+        &rule.when,
+        &rule.name,
+        detector,
+        host,
+        &mut checks,
+        &mut when,
+    )?;
+    let bind = |specs: &[ActionSpec]| -> Result<BoundActions, CompileError> {
+        specs
+            .iter()
+            .map(|a| Ok((a.clone(), bound_event(a, &rule.name, detector)?)))
+            .collect()
+    };
+    Ok(CompiledRule {
+        pool_id: id,
+        source: Arc::downgrade(rule),
+        name: Arc::clone(&rule.name),
+        event: rule.event,
+        when: when.into_boxed_slice(),
+        checks: checks.into_boxed_slice(),
+        then: bind(&rule.then)?,
+        otherwise: bind(&rule.otherwise)?,
+    })
+}
+
+/// Does every event name `rule` resolved at lowering still resolve to the
+/// same event?
+fn still_bound(rule: &CompiledRule, detector: &Detector) -> bool {
+    let mut actions = rule.then.iter().chain(rule.otherwise.iter());
+    let mut checks = rule.checks.iter();
+    actions.all(|(action, id)| match action {
+        ActionSpec::RaiseEvent { event, .. } | ActionSpec::CancelPlus { event, .. } => {
+            detector.lookup(event) == *id
+        }
+        _ => true,
+    }) && checks.all(|check| match check {
+        CCheck::SourceIs { id, name } => detector.lookup(name) == Some(*id),
+        _ => true,
+    })
 }
 
 /// Resolve `event` for `rule`, or say which rule names an unknown one.
@@ -714,7 +785,7 @@ mod tests {
             &mut pool,
             Rule::new("high", e, CondExpr::True).priority(10),
         );
-        let plan = compile(&pool, &detector, &NoBake).unwrap();
+        let plan = compile(&pool, &detector, &NoBake, CompiledPool::default()).unwrap();
         let table = &plan.dispatch[e.0 as usize];
         let names: Vec<&str> = table
             .iter()
@@ -722,6 +793,47 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["high", "low"]);
         assert!(plan.dump(&detector).contains("on e"));
+    }
+
+    /// A rule is carried over exactly while its pool slot holds the `Arc`
+    /// it was lowered from; whatever replaces, toggles or removes the rule
+    /// ends that, and the plan equals a fresh lowering either way.
+    #[test]
+    fn compile_carries_over_what_the_pool_still_holds() {
+        let mut detector = Detector::new(Ts::ZERO);
+        let mut pool = RulePool::new();
+        let e = detector.primitive("e");
+        for name in ["a", "b", "c"] {
+            attach_rule(&mut detector, &mut pool, Rule::new(name, e, CondExpr::True));
+        }
+        let relower = |pool: &RulePool, previous: CompiledPool| {
+            let plan = compile(pool, &detector, &NoBake, previous).unwrap();
+            let fresh = compile(pool, &detector, &NoBake, CompiledPool::default()).unwrap();
+            assert_eq!(fresh.lowered, fresh.rules.len());
+            assert_eq!(plan.dump(&detector), fresh.dump(&detector));
+            assert_eq!(plan.dispatch, fresh.dispatch);
+            plan
+        };
+        let plan = relower(&pool, CompiledPool::default());
+        assert_eq!(plan.lowered, 3);
+        // Nothing changed, and a clone of the pool shares every `Arc`.
+        let plan = relower(&pool.clone(), plan);
+        assert_eq!(plan.lowered, 0);
+        // A toggle moves the rule to a new `Arc` (the plan's `Weak` does
+        // not make `make_mut` copy it: the old handle is simply dead).
+        pool.set_enabled("b", false);
+        assert_eq!(plan.rules[1].source.upgrade().map(|r| r.enabled), None);
+        let plan = relower(&pool, plan);
+        assert_eq!(plan.lowered, 1);
+        // A replaced rule is lowered from its new text.
+        pool.add(Rule::new("a", e, CondExpr::False).priority(5));
+        let plan = relower(&pool, plan);
+        assert_eq!(plan.lowered, 1);
+        assert_eq!(&*plan.rules[0].when, [CondOp::Push(false)]);
+        // A removed rule leaves the plan; its neighbours stay carried.
+        pool.remove("b");
+        let plan = relower(&pool, plan);
+        assert_eq!((plan.lowered, plan.rules.len()), (0, 2));
     }
 
     #[test]
@@ -737,7 +849,7 @@ mod tests {
                 params: vec![],
             }]),
         );
-        let err = compile(&pool, &detector, &NoBake).unwrap_err();
+        let err = compile(&pool, &detector, &NoBake, CompiledPool::default()).unwrap_err();
         assert_eq!(
             err,
             CompileError::UnknownEvent {
@@ -792,7 +904,8 @@ mod tests {
         ] {
             attach_rule(&mut detector, &mut pool, rule);
         }
-        let plan = planned.then(|| compile(&pool, &detector, &NoBake).unwrap());
+        let plan =
+            planned.then(|| compile(&pool, &detector, &NoBake, CompiledPool::default()).unwrap());
         let mut state = PermissiveState::default();
         let mut log = AuditLog::new();
         let mut rt = Runtime {

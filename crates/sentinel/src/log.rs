@@ -120,20 +120,28 @@ impl AuditLog {
     /// oldest entries immediately.
     ///
     /// A capped log is a ring of fixed size, so its buffer is reserved
-    /// here, once, for `cap` entries plus the one `push` holds before it
-    /// evicts. Left to grow by doubling, the ring ends at twice the cap
-    /// (that one entry over), copies itself inside whichever operation
-    /// crosses a power of two, and whether its last block (9 MiB for
-    /// 65 536 entries) fits into the process's recycled heap is a matter
-    /// of allocator layout: identical runs differed by 3 MiB of resident
-    /// memory. A cap too large to reserve grows on demand instead.
+    /// here, once, for `cap` entries, and `push` keeps it at that: it
+    /// evicts before it appends, and a buffer that is too short (a clone's
+    /// is as long as its contents) grows to the ring's size in one step.
+    /// Grown by doubling, the ring would copy itself inside whichever
+    /// operation crosses a power of two and end at up to twice the cap -
+    /// and a full ring that appended before it evicted would get there for
+    /// the one entry over, on its first push after every clone and every
+    /// restore. Whether such a block (8 MiB for 65 536 entries) fits into
+    /// the process's recycled heap is a matter of allocator layout:
+    /// identical runs differed by 3 to 9 MiB of resident memory. A cap too
+    /// large to reserve grows on demand instead.
     pub fn set_cap(&mut self, cap: Option<usize>) {
         self.cap = cap;
         self.enforce_cap();
         if let Some(cap) = cap {
-            let room = cap.saturating_add(1).saturating_sub(self.entries.len());
-            let _ = self.entries.try_reserve_exact(room);
+            self.reserve_ring(cap);
         }
+    }
+
+    fn reserve_ring(&mut self, cap: usize) {
+        let room = cap.saturating_sub(self.entries.len());
+        let _ = self.entries.try_reserve_exact(room);
     }
 
     /// The retention cap in force.
@@ -142,10 +150,13 @@ impl AuditLog {
     }
 
     fn enforce_cap(&mut self) {
-        let Some(cap) = self.cap else {
-            return;
-        };
-        while self.entries.len() > cap {
+        if let Some(cap) = self.cap {
+            self.evict_down_to(cap);
+        }
+    }
+
+    fn evict_down_to(&mut self, keep: usize) {
+        while self.entries.len() > keep {
             let Some(old) = self.entries.pop_front() else {
                 break;
             };
@@ -158,9 +169,16 @@ impl AuditLog {
         }
     }
 
-    /// Append an entry, evicting the oldest if the cap is exceeded.
+    /// Append an entry; at the cap, the oldest is evicted first.
     pub fn push(&mut self, entry: AuditEntry) {
+        if let Some(cap @ 1..) = self.cap {
+            self.evict_down_to(cap - 1);
+            if self.entries.len() == self.entries.capacity() {
+                self.reserve_ring(cap);
+            }
+        }
         self.entries.push_back(entry);
+        // A cap of zero retains nothing, the entry just pushed included.
         self.enforce_cap();
     }
 
@@ -292,14 +310,51 @@ mod tests {
     fn capped_log_never_reallocates() {
         let mut log = AuditLog::with_cap(100);
         let reserved = log.entries.capacity();
-        assert!(
-            reserved > 100,
-            "room for the cap and the entry being pushed"
-        );
+        assert!(reserved >= 100, "room for the cap");
         for t in 0..1000 {
             log.push(entry(AuditKind::Fired, t));
         }
         assert_eq!((log.len(), log.entries.capacity()), (100, reserved));
+        // Neither does a full ring whose buffer has no slot to spare, as
+        // after a clone or a restore.
+        let mut full = AuditLog::with_cap(64);
+        for t in 0..64 {
+            full.push(entry(AuditKind::Denied, t));
+        }
+        full.entries.shrink_to_fit();
+        let exact = full.entries.capacity();
+        for t in 64..200 {
+            full.push(entry(AuditKind::Fired, t));
+        }
+        assert_eq!((full.len(), full.entries.capacity()), (64, exact));
+        assert_eq!((full.evicted_count(), full.denial_count()), (136, 64));
+        // A part-full clone grows once, to the ring and not past it.
+        let mut part = AuditLog::with_cap(1000);
+        for t in 0..600 {
+            part.push(entry(AuditKind::Fired, t));
+        }
+        let mut copy = part.clone();
+        assert!(
+            copy.entries.capacity() < 1000,
+            "a clone is as long as its contents"
+        );
+        copy.push(entry(AuditKind::Fired, 600));
+        let ring = copy.entries.capacity();
+        assert!(
+            (1000..1200).contains(&ring),
+            "{ring}: the ring, not twice the contents"
+        );
+        for t in 601..3000 {
+            copy.push(entry(AuditKind::Fired, t));
+        }
+        assert_eq!((copy.len(), copy.entries.capacity()), (1000, ring));
+        // A cap of zero retains nothing and still counts.
+        let mut none = AuditLog::with_cap(0);
+        none.push(entry(AuditKind::Alert, 0));
+        assert_eq!(
+            (none.len(), none.total_len(), none.alert_count()),
+            (0, 1, 1)
+        );
         // A cap that cannot be reserved is still a cap.
         let mut huge = AuditLog::with_cap(usize::MAX);
         huge.push(entry(AuditKind::Fired, 0));

@@ -156,9 +156,16 @@ impl RulePool {
 
     /// Iterate over live (non-removed) rules.
     pub fn iter(&self) -> impl Iterator<Item = (RuleId, &Rule)> {
+        self.iter_shared().map(|(id, rule)| (id, rule.as_ref()))
+    }
+
+    /// [`RulePool::iter`] over the shared handles themselves: a slot keeps
+    /// its `Arc` until the rule is replaced or mutated, which is how the
+    /// compiled plan recognizes a rule it has already lowered.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (RuleId, &Arc<Rule>)> {
         self.by_name
             .values()
-            .map(move |&id| (id, self.rules[id.0 as usize].as_ref()))
+            .map(move |&id| (id, &self.rules[id.0 as usize]))
     }
 
     /// Number of live rules.

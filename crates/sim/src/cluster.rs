@@ -462,6 +462,8 @@ impl SimWorld for ClusterWorld {
                 }
                 None => h.str("down"),
             }
+            // What a restart will trust of a down node's log.
+            h.u64(c.rejoin_floor(n).map_or(0, |floor| floor + 1));
             // Leader-side shipping state: indices, backoff stage, and the
             // *relative* retransmission deadline (absolute virtual time is
             // behavior-irrelevant, so time-shifted states merge).

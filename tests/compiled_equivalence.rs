@@ -9,8 +9,16 @@
 //! match, and after the whole trace the observable state (sessions, active
 //! role sets, enabled flags) **and the complete audit log** must be equal —
 //! the compiled path is required to write byte-identical audit records.
+//!
+//! The same holds across policy changes in the middle of a trace: the plan
+//! engine then carries over the lowering of every rule the regeneration
+//! left alone, the oracle has no plan to carry, and nothing may tell them
+//! apart.
 
-use owte_core::{Engine, EngineError};
+mod support;
+
+use owte_core::{Engine, EngineError, SplitMix64};
+use policy::PolicyGraph;
 use proptest::prelude::*;
 use rbac::{RoleId, SessionId, UserId};
 use snoop::{Dur, Ts};
@@ -39,6 +47,23 @@ struct Harness {
     /// Replay context (seeds + current step) prepended to divergence panics.
     ctx: String,
     at: String,
+    /// The policy in force, and — for the suites that change it while the
+    /// trace runs — how many steps lie between edits and the edit stream.
+    graph: PolicyGraph,
+    change_every: Option<usize>,
+    rng: SplitMix64,
+    seen: PolicyChanges,
+}
+
+/// What the policy changes of one run amounted to.
+#[derive(Debug, Default)]
+struct PolicyChanges {
+    incremental: usize,
+    full_rebuilds: usize,
+    /// Rules the plan engine kept lowered across incremental changes.
+    carried: usize,
+    /// Requests both engines granted after the first change.
+    granted_since: usize,
 }
 
 impl Harness {
@@ -52,6 +77,51 @@ impl Harness {
             interp,
             ctx,
             at: String::new(),
+            graph,
+            change_every: None,
+            rng: SplitMix64(seed),
+            seen: PolicyChanges::default(),
+        }
+    }
+
+    /// Change the policy under both engines: a role-property edit, or —
+    /// every fifth time — a new role under the first one, which rebuilds
+    /// the whole pool and closes every session, on both sides alike.
+    fn change_policy(&mut self) {
+        let before = self.graph.clone();
+        let nth = self.seen.incremental + self.seen.full_rebuilds;
+        let what = if nth % 5 == 4 {
+            let top = self.graph.roles[0].name.clone();
+            let annex = format!("annex{nth}");
+            self.graph.role(&annex);
+            self.graph.inherits(&top, &annex);
+            format!("hierarchy: {annex} below {top}")
+        } else {
+            let mut what = support::edit_role_property(&mut self.graph, &mut self.rng);
+            while self.graph == before {
+                what = support::edit_role_property(&mut self.graph, &mut self.rng);
+            }
+            what
+        };
+        self.at = format!("{}, then policy change ({what})", self.at);
+        let a = self.compiled.apply_policy(&self.graph);
+        let b = self.interp.apply_policy(&self.graph);
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "{} regenerated differently [{}]", self.at, self.ctx);
+                assert!(self.compiled.compiled_active() && !self.interp.compiled_active());
+                let lowered = self.compiled.plan_rules_lowered().expect("armed");
+                if a.full_rebuild {
+                    self.seen.full_rebuilds += 1;
+                } else {
+                    self.seen.incremental += 1;
+                    self.seen.carried += a.total_rules - lowered;
+                }
+            }
+            (a, b) => panic!(
+                "{} refused: compiled {a:?}, interpreted {b:?} [{}]",
+                self.at, self.ctx
+            ),
         }
     }
 
@@ -67,12 +137,16 @@ impl Harness {
             .unwrap()
     }
 
-    fn agree(&self, a: Outcome, b: Outcome) {
+    fn agree(&mut self, a: Outcome, b: Outcome) {
         assert_eq!(
             a, b,
             "{} diverged: compiled {a:?} vs interpreted {b:?} [{}]",
             self.at, self.ctx
         );
+        let changed = self.seen.incremental + self.seen.full_rebuilds > 0;
+        if changed && matches!(a, Outcome::Granted | Outcome::Access(true)) {
+            self.seen.granted_since += 1;
+        }
     }
 
     /// Compare final observable state and the complete audit trail.
@@ -114,6 +188,12 @@ impl Driver for Harness {
 
     fn on_step(&mut self, index: usize, step: &Step) {
         self.at = format!("step {index} ({})", step.describe());
+        if self
+            .change_every
+            .is_some_and(|every| index % every == every - 1)
+        {
+            self.change_policy();
+        }
     }
 
     fn create_session(&mut self, user: usize) -> Option<SessionId> {
@@ -172,6 +252,19 @@ impl Driver for Harness {
 }
 
 fn run_equivalence(spec: EnterpriseSpec, ent_seed: u64, trace_seed: u64, steps: usize) {
+    run(spec, ent_seed, trace_seed, steps, None);
+}
+
+/// Drive both engines through one trace, changing the policy under them
+/// every `change_every` steps if asked to; returns what those changes
+/// amounted to.
+fn run(
+    spec: EnterpriseSpec,
+    ent_seed: u64,
+    trace_seed: u64,
+    steps: usize,
+    change_every: Option<usize>,
+) -> PolicyChanges {
     let trace_spec = TraceSpec {
         steps,
         users: spec.users,
@@ -183,8 +276,10 @@ fn run_equivalence(spec: EnterpriseSpec, ent_seed: u64, trace_seed: u64, steps: 
     let trace = generate_trace(&trace_spec, trace_seed);
     let ctx = format!("enterprise seed {ent_seed}, trace seed {trace_seed}");
     let mut h = Harness::new(&spec, ent_seed, ctx);
+    h.change_every = change_every;
     drive(&mut h, &trace, spec.users);
     h.assert_states_equal();
+    h.seen
 }
 
 #[test]
@@ -243,6 +338,38 @@ fn compiled_equivalence_with_context_constraints() {
         ..EnterpriseSpec::default()
     };
     run_equivalence(spec, 4, 4, 400);
+}
+
+/// Policy changes while the trace runs: decisions, state, clock and audit
+/// log stay identical across every `apply_policy`, whether the plan
+/// carried its rules over (role-property edits) or lowered them all again
+/// (the hierarchy edits).
+#[test]
+fn compiled_equivalence_across_policy_changes() {
+    for seed in 0..8u64 {
+        let roles = 10 + seed as usize;
+        let spec = EnterpriseSpec {
+            roles,
+            users: roles + 5,
+            permissions: roles + 5,
+            hierarchy_density: 0.6,
+            ssd_pairs: 1,
+            dsd_pairs: 2,
+            capped_fraction: 0.3,
+            temporal_fraction: 0.2,
+            duration_fraction: 0.3,
+            context_fraction: if seed % 2 == 0 { 0.3 } else { 0.0 },
+            ..EnterpriseSpec::default()
+        };
+        let seen = run(spec, 40 + seed, 70 + seed, 600, Some(30));
+        assert_eq!(
+            (seen.incremental, seen.full_rebuilds),
+            (16, 4),
+            "seed {seed}: {seen:?}"
+        );
+        assert!(seen.carried > 16 * roles, "seed {seed}: {seen:?}");
+        assert!(seen.granted_since > 50, "seed {seed}: {seen:?}");
+    }
 }
 
 proptest! {

@@ -14,8 +14,9 @@
 use owte_core::DurableConfig;
 use repl::ReplConfig;
 use sim::{
-    explore, run_schedule, strip_sod, tiny_enterprise, tiny_ops, Budget, Choice, ClusterInvariants,
-    ClusterWorld, Invariants, NetChoice, Outcome, SimOp, Strategy, Violation, World,
+    explore, run_schedule, strip_sod, tiny_enterprise, tiny_ops, Budget, Checker, Choice,
+    ClusterInvariants, ClusterWorld, Invariants, NetChoice, Outcome, SimOp, SimWorld, Strategy,
+    Violation, World,
 };
 use std::collections::BTreeSet;
 
@@ -498,6 +499,46 @@ fn exhaustive_cluster_sweep_is_clean() {
             schedule.script(&world)
         ),
     }
+}
+
+/// Regression, as a fixed schedule: the leader journals an op nobody
+/// receives and dies; a follower is promoted and writes a different op at
+/// the same index; the deposed leader restarts. Its log is no longer than
+/// the new leader's, and still it must not be kept: `FollowerDivergence`
+/// has to stay silent, with the node wiped and waiting for a resync.
+#[test]
+fn cluster_deposed_leader_rejoins_without_its_unacked_suffix() {
+    let graph = tiny_enterprise();
+    let ops = vec![
+        SimOp::CreateSession { user: 0 },
+        SimOp::AssignUser {
+            user: 1,
+            role: "billing".into(),
+        },
+    ];
+    let world =
+        ClusterWorld::new(&graph, 3, ops, cluster_config()).expect("tiny cluster instantiates");
+    let invariants = ClusterInvariants::from_reference(&graph);
+    let schedule = [
+        NetChoice::ClientOp,
+        NetChoice::CrashNode { node: 0 },
+        NetChoice::Promote { node: 1 },
+        NetChoice::ClientOp,
+        NetChoice::RestartNode { node: 0 },
+    ];
+    let mut end = world.clone();
+    for choice in &schedule {
+        assert!(end.apply_choice(choice).is_ok(), "{choice} is enabled");
+        if let Some(violation) = invariants.check(&end) {
+            panic!("after {choice}: {violation}");
+        }
+    }
+    // Not vacuously: both ops were journaled, each by the leader of its
+    // term alone, and the restart did wipe node 0.
+    let cluster = end.cluster();
+    assert_eq!(cluster.history().len(), 1, "op[0] went with its term");
+    assert_eq!(cluster.node_op_count(1), Some(1));
+    assert_eq!(cluster.node_op_count(0), Some(0));
 }
 
 /// Seeded-bug 3: `premature_ack` advances the commit index the moment
