@@ -466,7 +466,7 @@ impl<S: Storage> DurableEngine<S> {
     }
 
     /// Mutable access to the wrapped engine, for *monitoring* toggles
-    /// only ([`Engine::record_effects`], log caps). Anything semantic
+    /// only (log caps). Anything semantic
     /// changed through this handle bypasses the journal and will not
     /// survive recovery — re-apply such toggles after
     /// [`DurableEngine::open`].

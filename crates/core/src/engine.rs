@@ -16,10 +16,10 @@ use policy::{
     events, CompiledPolicy, InstantiateError, Instantiated, PolicyGraph, RegenReport, VerifyGate,
 };
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
-use sentinel::{AuditLog, CompiledPool, ExecReport, Executor, RuleTouch, Runtime};
+use sentinel::{AuditLog, CompiledPool, ExecReport, Executor, Runtime};
 use serde::{Deserialize, Serialize};
 use snoop::{DetectorError, Dur, EventId, Params, Ts};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -93,14 +93,6 @@ pub struct Engine {
     /// ([`policy::AnalysisReport::max_sync_depth`]).
     #[serde(default)]
     deepest_cascade: usize,
-    /// Every distinct (rule, access, region) the executor actually
-    /// touched, accumulated while [`Engine::record_effects`] is armed.
-    /// Pure monitoring state: never consulted by any decision, so two
-    /// engines differing only here are behaviourally identical. The model
-    /// checker asserts each entry is covered by the analyzer's declared
-    /// footprint for that rule (`FootprintViolated`).
-    #[serde(default)]
-    observed_touches: BTreeSet<RuleTouch>,
     /// The compiled execution plan, when the pool has one (see [`Plan`]).
     /// Pure derived state — rebuilt from the instantiation on demand,
     /// never persisted; a restored engine lowers its pool on first use,
@@ -256,7 +248,6 @@ impl Engine {
             denial_history: 65_536,
             state_version: 0,
             deepest_cascade: 0,
-            observed_touches: BTreeSet::new(),
             plan,
             external_active: BTreeMap::new(),
             view: OnceLock::new(),
@@ -466,33 +457,6 @@ impl Engine {
         self.exec.assume_acyclic
     }
 
-    /// Arm or disarm effect recording: while armed, every state region
-    /// the executor's checks and actions touch is accumulated into
-    /// [`Engine::observed_touches`] (with runtime-resolved targets). Off
-    /// by default — recording costs an allocation per evaluated check,
-    /// and the executor interprets the pool while it is on.
-    pub fn record_effects(&mut self, on: bool) {
-        self.exec.record_effects = on;
-    }
-
-    /// Is effect recording armed?
-    pub fn effects_recorded(&self) -> bool {
-        self.exec.record_effects
-    }
-
-    /// Every distinct (rule, access, region) observed while
-    /// [`Engine::record_effects`] was armed.
-    pub fn observed_touches(&self) -> &BTreeSet<RuleTouch> {
-        &self.observed_touches
-    }
-
-    /// Render the rule-interference graph in Graphviz DOT form: nodes
-    /// colored by commutativity class, solid red edges write-write
-    /// conflicts, dashed orange edges read-write.
-    pub fn effect_graph_dot(&self) -> String {
-        policy::effect_dot(&self.analyze().effects)
-    }
-
     /// Alerts raised so far (active security).
     pub fn alerts(&self) -> Vec<String> {
         self.log
@@ -568,7 +532,6 @@ impl Engine {
             self.bump_version();
         }
         self.deepest_cascade = self.deepest_cascade.max(report.max_depth);
-        self.observed_touches.extend(report.touches.iter().cloned());
         self.after_dispatch(report)
     }
 
@@ -1024,12 +987,12 @@ pub fn state_diff(a: &Engine, b: &Engine) -> Option<String> {
             return Some(format!("enablement differs for {r}"));
         }
     }
-    if a.log().entries() != b.log().entries() {
-        return Some(format!(
-            "audit logs differ ({} vs {} entries)",
-            a.log().entries().len(),
-            b.log().entries().len()
-        ));
+    let (ea, eb) = (a.log().entries(), b.log().entries());
+    if ea != eb {
+        return Some(match ea.iter().zip(eb).position(|(x, y)| x != y) {
+            Some(i) => format!("audit entry {i} differs: {} vs {}", ea[i], eb[i]),
+            None => format!("audit logs differ ({} vs {} entries)", ea.len(), eb.len()),
+        });
     }
     if a.now() != b.now() {
         return Some(format!("clocks differ: {} vs {}", a.now(), b.now()));
@@ -1149,37 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_touches_stay_within_declared_footprints() {
-        let mut e = xyz_engine();
-        assert!(e.observed_touches().is_empty());
-        e.record_effects(true);
-        assert!(e.effects_recorded());
-        let alice = e.user_id("alice").unwrap();
-        let pm = e.role_id("PM").unwrap();
-        let s = e.create_session(alice, &[pm]).unwrap();
-        let create = e.system().op_by_name("create").unwrap();
-        let po = e.system().obj_by_name("purchase_order").unwrap();
-        e.check_access(s, create, po).unwrap();
-        let touches = e.observed_touches().clone();
-        assert!(!touches.is_empty());
-        let effects = e.analyze().effects;
-        for t in &touches {
-            let declared = &effects
-                .effect_of(&t.rule)
-                .unwrap_or_else(|| panic!("rule {} missing from report", t.rule))
-                .effective;
-            assert!(
-                declared.covers(t.access, &t.region),
-                "{}: observed {} {} not covered by {declared:?}",
-                t.rule,
-                t.access,
-                t.region
-            );
-        }
-        assert!(e.effect_graph_dot().starts_with("digraph effects {"));
-    }
-
-    #[test]
     fn rejected_policy_change_leaves_engine_running() {
         let mut e = xyz_engine();
         let mut bad = e.policy().clone();
@@ -1268,21 +1200,6 @@ mod tests {
         restored.advance(Dur::from_secs(1)).unwrap();
         assert!(restored.compiled_active());
         assert_eq!(restored.plan_text(), e.clone().plan_text());
-    }
-
-    #[test]
-    fn record_effects_routes_to_interpreter() {
-        // Effects are recorded by the interpreter, which the executor falls
-        // back to by itself; with the plan armed the engine must still
-        // accumulate touches.
-        let mut e = xyz_engine();
-        assert!(e.compiled_active());
-        e.record_effects(true);
-        let alice = e.user_id("alice").unwrap();
-        let pm = e.role_id("PM").unwrap();
-        let s = e.create_session(alice, &[pm]).unwrap();
-        let _ = s;
-        assert!(!e.observed_touches().is_empty());
     }
 
     #[test]

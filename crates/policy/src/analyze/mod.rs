@@ -26,19 +26,16 @@
 //!   ([`DiagCode::UnregisteredEvent`]), and SoD sets are checked against
 //!   the transitive hierarchy closure
 //!   ([`DiagCode::SodHierarchyConflict`]).
-//! * **Effect analysis** ([`EffectReport`]): each rule's condition/action
-//!   trees are abstractly interpreted into read/write footprints over a
-//!   partition of the monitor state ([`sentinel::Region`]), closed over
-//!   synchronous cascades, and compared pairwise into an interference
-//!   graph whose connected components are commutativity classes. Custom
-//!   checks/actions missing from the effect table widen to ⊤ and are
-//!   flagged ([`DiagCode::OpaqueFootprint`]). Per-event independence
-//!   certificates are derived and reported; `crates/sim` certifies the
-//!   declared footprints against every access the executor actually
-//!   performs.
+//! * **Effect footprints** ([`EffectReport`]): each rule's
+//!   condition/action trees are abstractly interpreted into read/write
+//!   footprints over a partition of the monitor state ([`Region`]),
+//!   closed over synchronous cascades. Custom checks/actions missing from
+//!   the region table widen to ⊤ and are flagged
+//!   ([`DiagCode::OpaqueFootprint`]). The sharding license is what reads
+//!   them.
 //!
 //! Only the termination and coverage passes can find an
-//! [`Severity::Error`]; condition and effect analysis describe the pool
+//! [`Severity::Error`]; condition and footprint analysis describe the pool
 //! and never refuse it. [`verdict`] therefore runs those two passes alone
 //! — it is what the verification gate and the compilation license decide
 //! on, every time a policy changes — and [`analyze`] is that same verdict
@@ -54,11 +51,10 @@ pub mod closure;
 mod conditions;
 mod coverage;
 mod footprint;
-mod interference;
 mod termination;
 
 pub use crate::consistency::Severity;
-pub use interference::{effect_dot, EffectReport, RuleEffect};
+pub use footprint::{EffectReport, Footprint, Region, RuleEffect, Target};
 
 use crate::generate::Instantiated;
 use crate::graph::PolicyGraph;
@@ -89,7 +85,7 @@ pub enum DiagCode {
     /// A common senior defeats an SoD set through the transitive
     /// hierarchy.
     SodHierarchyConflict,
-    /// A rule uses a custom check/action the effect table cannot map to
+    /// A rule uses a custom check/action the region table cannot map to
     /// state regions; its footprint widens to ⊤.
     OpaqueFootprint,
 }
@@ -192,8 +188,7 @@ pub struct AnalysisReport {
     /// never exceed this bound; the model checker asserts it.
     #[serde(default)]
     pub max_sync_depth: Option<usize>,
-    /// Per-rule effect footprints, interference structure and
-    /// independence certificates.
+    /// Per-rule effect footprints.
     #[serde(default)]
     pub effects: EffectReport,
 }
@@ -307,7 +302,7 @@ fn canonical(diagnostics: &mut Vec<Diagnostic>) {
 }
 
 /// A pool under analysis, with its rule-dependency graph built once: the
-/// termination proof, the depth bound, the effect closure and the DOT
+/// termination proof, the depth bound, the footprint closure and the DOT
 /// export all walk this graph, none builds its own.
 struct Subject<'a> {
     detector: &'a Detector,
@@ -342,8 +337,7 @@ impl<'a> Subject<'a> {
     fn report(&self, verdict: Verdict) -> AnalysisReport {
         let mut diagnostics = verdict.diagnostics;
         conditions::check(self.detector, self.pool, &mut diagnostics);
-        let effects =
-            interference::compute(&self.rules, self.detector, self.pool, &mut diagnostics);
+        let effects = footprint::compute(&self.rules, self.pool, &mut diagnostics);
         canonical(&mut diagnostics);
         AnalysisReport {
             termination: verdict.termination,
@@ -364,7 +358,7 @@ pub fn verdict(inst: &Instantiated) -> Verdict {
 }
 
 /// Analyze an instantiated policy: the [`verdict`] plus the report-only
-/// passes (conditions, effect footprints and interference).
+/// passes (conditions and effect footprints).
 pub fn analyze(inst: &Instantiated) -> AnalysisReport {
     let subject = Subject::new(&inst.detector, &inst.pool);
     subject.report(subject.verdict(&inst.graph))
@@ -466,29 +460,19 @@ mod tests {
     }
 
     #[test]
-    fn xyz_effects_cover_pool_and_certify_independence() {
-        let inst = xyz();
-        let report = analyze(&inst);
+    fn xyz_effects_cover_pool_and_flag_cross_user_rules() {
+        let report = analyze(&xyz());
         let fx = &report.effects;
         assert_eq!(fx.effects.len(), report.rules);
         assert!(
-            fx.effects.iter().all(|e| !e.direct.opaque),
-            "every generated custom is in the effect table"
-        );
-        assert!(!fx.classes.is_empty());
-        assert!(
-            !fx.independent_events.is_empty(),
-            "no XYZ rule toggles rules, so events certify: {}",
-            fx.summary()
+            fx.effects.iter().all(|e| !e.effective.opaque),
+            "every generated custom is in the region table"
         );
         // Activation rules maintain cross-user role aggregates; the
         // check-access rule reads only one session's state.
         let cross = fx.cross_user_footprints();
         assert!(cross.iter().any(|r| r.starts_with("AAR")), "{cross:?}");
         assert!(!cross.contains(&"CA".to_string()), "{cross:?}");
-        // The dot export renders every rule.
-        let dot = effect_dot(fx);
-        assert!(dot.contains("AAR2_PC") && dot.contains("fillcolor"));
     }
 
     #[test]
@@ -522,7 +506,7 @@ mod tests {
             .collect();
         assert_eq!(opaque.len(), 1, "{opaque:?}");
         assert_eq!(opaque[0].rules, vec!["OPQ".to_string()]);
-        assert!(report.effects.effect_of("OPQ").unwrap().direct.opaque);
+        assert!(report.effects.effect_of("OPQ").unwrap().effective.opaque);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod regenerate;
 pub mod spec;
 
 pub use analyze::{
-    analyze, effect_dot, rule_dependency_dot, verdict, AnalysisReport, DiagCode, Diagnostic,
-    EffectReport, RuleEffect, Termination, Verdict,
+    analyze, rule_dependency_dot, verdict, AnalysisReport, DiagCode, Diagnostic, EffectReport,
+    Footprint, Region, RuleEffect, Target, Termination, Verdict,
 };
 pub use compile::{compile_pool, CompileError, CompiledPolicy};
 pub use consistency::{check, is_consistent, Issue, Severity};

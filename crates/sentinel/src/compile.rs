@@ -27,7 +27,6 @@
 //! checks the verdict). A pool that fails to compile simply keeps running
 //! interpreted — the plan is an optimization, never a semantic gate.
 
-use crate::effect::Region;
 use crate::executor::{eval_check, id_arg, RuleSource, Triggered};
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::pool::RulePool;
@@ -577,14 +576,11 @@ impl Triggered for &CompiledRule {
         &self.name
     }
 
-    /// `sink` stays empty: the executor interprets while effects are
-    /// recorded (footprints are declared over the rule language).
     fn holds(
         &self,
         occ: &Occurrence,
         state: &dyn AuthState,
         detector: &Detector,
-        _sink: Option<&mut Vec<Region>>,
     ) -> Result<bool, String> {
         eval_compiled_cond(&self.when, &self.checks, occ, state, detector)
     }
@@ -1052,10 +1048,9 @@ mod tests {
     }
 
     /// The driver takes rules from the plan it is handed — an empty one
-    /// fires nothing — except while effects are recorded: then it
-    /// interprets the pool, whatever the plan says.
+    /// fires nothing — and interprets the pool only when it has none.
     #[test]
-    fn driver_runs_the_plan_unless_effects_are_recorded() {
+    fn driver_runs_the_plan_it_is_handed() {
         let mut detector = Detector::new(Ts::ZERO);
         let mut pool = RulePool::new();
         let e = detector.primitive("e");
@@ -1078,17 +1073,9 @@ mod tests {
             exec.dispatch(&mut rt, e, Params::new().with("user", 1i64))
                 .unwrap()
         };
-        let plain = Executor::new();
-        assert_eq!(dispatch(&plain, Some(&empty)).fired, 0);
-        assert_eq!(dispatch(&plain, None).fired, 1);
-        let recording = Executor {
-            record_effects: true,
-            ..Executor::default()
-        };
-        let recorded = dispatch(&recording, Some(&empty));
-        assert_eq!(recorded.fired, 1);
-        assert!(!recorded.touches.is_empty());
-        assert_eq!(recorded, dispatch(&recording, None));
+        let exec = Executor::new();
+        assert_eq!(dispatch(&exec, Some(&empty)).fired, 0);
+        assert_eq!(dispatch(&exec, None).fired, 1);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! between the two from what the [`Runtime`] carries.
 
 use crate::compile::CompiledPool;
-use crate::effect::{action_footprint, check_footprint, runtime_target, Access, Region, RuleTouch};
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::log::{AuditEntry, AuditKind, AuditLog};
 use crate::pool::RulePool;
@@ -52,11 +51,6 @@ pub struct ExecReport {
     /// (0 = only directly-triggered rules; each synchronous `raise`
     /// adds one). Checkable against the static analyzer's proved bound.
     pub max_depth: usize,
-    /// State regions each rule execution actually touched, with
-    /// runtime-resolved targets. Empty unless
-    /// [`Executor::record_effects`] is set; checkable against the static
-    /// analyzer's declared footprints (observed ⊆ declared).
-    pub touches: Vec<RuleTouch>,
 }
 
 impl ExecReport {
@@ -71,7 +65,8 @@ impl ExecReport {
 ///
 /// Stored inside engine snapshots. Unknown keys are ignored on read, so a
 /// snapshot written when this struct still carried the two
-/// independence-certificate fields opens as is.
+/// independence-certificate fields or the effect-recording flag opens as
+/// is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Executor {
     /// Maximum cascade depth before the executor cuts a rule loop.
@@ -86,14 +81,6 @@ pub struct Executor {
     /// instead of being cut.
     #[serde(default)]
     pub assume_acyclic: bool,
-    /// Record every state region each rule execution touches into
-    /// [`ExecReport::touches`] (runtime-resolved targets). Used by the
-    /// simulator to certify declared footprints dynamically. While set,
-    /// rules are evaluated by the interpreter even when the runtime
-    /// carries a plan: footprints are declared over the rule language,
-    /// not over its lowered form.
-    #[serde(default)]
-    pub record_effects: bool,
 }
 
 impl Default for Executor {
@@ -101,7 +88,6 @@ impl Default for Executor {
         Executor {
             max_cascade_depth: 32,
             assume_acyclic: false,
-            record_effects: false,
         }
     }
 }
@@ -152,17 +138,15 @@ pub(crate) trait RuleSource: Copy {
 
 /// A rule as the cascade driver sees it.
 pub(crate) trait Triggered {
-    /// The rule's name (audit entries, error messages, recorded effects).
+    /// The rule's name (audit entries, error messages).
     fn name(&self) -> &Arc<str>;
 
-    /// Evaluate the **W** part. `sink`, when given, receives the regions
-    /// each evaluated check read.
+    /// Evaluate the **W** part.
     fn holds(
         &self,
         occ: &Occurrence,
         state: &dyn AuthState,
         detector: &Detector,
-        sink: Option<&mut Vec<Region>>,
     ) -> Result<bool, String>;
 
     /// The **T** (`then`) or **E** action list, each action with the id
@@ -199,9 +183,8 @@ impl Triggered for Arc<Rule> {
         occ: &Occurrence,
         state: &dyn AuthState,
         detector: &Detector,
-        sink: Option<&mut Vec<Region>>,
     ) -> Result<bool, String> {
-        eval_cond_rec(&self.when, occ, state, detector, sink)
+        eval_cond(&self.when, occ, state, detector)
     }
 
     fn actions(&self, then: bool) -> impl Iterator<Item = (&ActionSpec, Option<EventId>)> {
@@ -244,14 +227,6 @@ impl Firing<'_> {
                 report.denials.push(m.clone());
                 self.audit(rt, AuditKind::ActionRejected, m);
             }
-        }
-    }
-
-    fn touch(&self, access: Access, region: Region) -> RuleTouch {
-        RuleTouch {
-            rule: self.rule.to_string(),
-            access,
-            region,
         }
     }
 }
@@ -320,9 +295,8 @@ impl Executor {
     }
 
     /// [`Executor::process`] into a report the caller already has. This is
-    /// where the evaluator is chosen, from what the executor can observe:
-    /// a runtime that carries a plan runs through it, one that does not —
-    /// or any runtime while effects are recorded — is interpreted.
+    /// where the evaluator is chosen: a runtime that carries a plan runs
+    /// through it, one that does not is interpreted.
     fn process_into(
         &self,
         rt: &mut Runtime<'_>,
@@ -331,8 +305,8 @@ impl Executor {
         report: &mut ExecReport,
     ) {
         match rt.plan {
-            Some(plan) if !self.record_effects => self.drive(rt, plan, detections, depth, report),
-            _ => self.drive(rt, Interpreter, detections, depth, report),
+            Some(plan) => self.drive(rt, plan, detections, depth, report),
+            None => self.drive(rt, Interpreter, detections, depth, report),
         }
     }
 
@@ -381,9 +355,7 @@ impl Executor {
             depth,
         };
         report.max_depth = report.max_depth.max(depth);
-        let mut traced = Vec::new();
-        let sink = self.record_effects.then_some(&mut traced);
-        let cond = match rule.holds(occ, rt.state, rt.detector, sink) {
+        let cond = match rule.holds(occ, rt.state, rt.detector) {
             Ok(b) => b,
             Err(msg) => {
                 let m = format!("condition error in {}: {msg}", at.rule);
@@ -391,9 +363,6 @@ impl Executor {
                 false
             }
         };
-        report
-            .touches
-            .extend(traced.into_iter().map(|r| at.touch(Access::Read, r)));
         let kind = if cond {
             report.fired += 1;
             AuditKind::Fired
@@ -428,14 +397,6 @@ impl Executor {
         report: &mut ExecReport,
     ) {
         let occ = at.occ;
-        if self.record_effects {
-            // Record at the executed site with runtime-resolved targets —
-            // the declared (static) footprint must cover every one.
-            let fp = action_footprint(action, |p| runtime_target(p, occ));
-            let reads = fp.reads.into_iter().map(|r| at.touch(Access::Read, r));
-            let writes = fp.writes.into_iter().map(|r| at.touch(Access::Write, r));
-            report.touches.extend(reads.chain(writes));
-        }
         // Resolve an integer argument or record an engine error.
         macro_rules! arg {
             ($p:expr) => {
@@ -593,26 +554,13 @@ pub fn eval_cond(
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
-    eval_cond_rec(cond, occ, state, detector, None)
-}
-
-/// [`eval_cond`] with an optional effect sink: every *evaluated* check
-/// appends the regions it read (runtime-resolved targets). Short-circuited
-/// branches record nothing — observed effects are what actually ran.
-fn eval_cond_rec(
-    cond: &CondExpr,
-    occ: &Occurrence,
-    state: &dyn AuthState,
-    detector: &Detector,
-    mut sink: Option<&mut Vec<Region>>,
-) -> Result<bool, String> {
     match cond {
         CondExpr::True => Ok(true),
         CondExpr::False => Ok(false),
-        CondExpr::Not(c) => Ok(!eval_cond_rec(c, occ, state, detector, sink)?),
+        CondExpr::Not(c) => Ok(!eval_cond(c, occ, state, detector)?),
         CondExpr::All(v) => {
             for c in v {
-                if !eval_cond_rec(c, occ, state, detector, sink.as_deref_mut())? {
+                if !eval_cond(c, occ, state, detector)? {
                     return Ok(false);
                 }
             }
@@ -620,7 +568,7 @@ fn eval_cond_rec(
         }
         CondExpr::Any(v) => {
             for c in v {
-                if eval_cond_rec(c, occ, state, detector, sink.as_deref_mut())? {
+                if eval_cond(c, occ, state, detector)? {
                     return Ok(true);
                 }
             }
@@ -631,18 +579,13 @@ fn eval_cond_rec(
             then,
             otherwise,
         } => {
-            if eval_cond_rec(guard, occ, state, detector, sink.as_deref_mut())? {
-                eval_cond_rec(then, occ, state, detector, sink)
+            if eval_cond(guard, occ, state, detector)? {
+                eval_cond(then, occ, state, detector)
             } else {
-                eval_cond_rec(otherwise, occ, state, detector, sink)
+                eval_cond(otherwise, occ, state, detector)
             }
         }
-        CondExpr::Check(check) => {
-            if let Some(sink) = sink {
-                sink.extend(check_footprint(check, |p| runtime_target(p, occ)).reads);
-            }
-            eval_check(check, occ, state, detector)
-        }
+        CondExpr::Check(check) => eval_check(check, occ, state, detector),
     }
 }
 
@@ -918,7 +861,6 @@ mod tests {
         let proved = Executor {
             max_cascade_depth: 5,
             assume_acyclic: true,
-            ..Executor::default()
         };
         let mut rt = fx.rt();
         let rep = proved.dispatch(&mut rt, ids[0], Params::new()).unwrap();

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod compile;
-pub mod effect;
 pub mod executor;
 pub mod lang;
 pub mod log;
@@ -40,10 +39,6 @@ pub mod state;
 pub use compile::{
     compile, BoundActions, CCheck, CompileError, CompileHost, CompiledPool, CompiledRule, CondOp,
     DsdSetBaked, NoBake,
-};
-pub use effect::{
-    action_footprint, check_footprint, cond_footprint, custom_check_footprint, runtime_target,
-    static_target, Access, Footprint, Region, RuleTouch, Target,
 };
 pub use executor::{attach_rule, eval_cond, ExecReport, Executor, Runtime};
 pub use lang::{ActionSpec, Check, CondExpr, ParamRef};

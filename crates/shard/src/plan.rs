@@ -6,8 +6,8 @@
 //! * the [`policy::PolicyGraph`] names the roles with cross-user
 //!   semantics — activation caps (paper Rule 4), SSD sets and
 //!   prerequisite targets (`RoleActiveAnywhere` reads);
-//! * the effect analyzer's [`EffectReport::cross_user_footprints`]
-//!   (PR 7) flags exactly the generated rules whose effective footprint
+//! * the analyzer's [`EffectReport::cross_user_footprints`] flags
+//!   exactly the generated rules whose effective footprint
 //!   spans users — every op dispatching only unflagged rules commutes
 //!   freely across shards and never touches the coordinator;
 //! * the license check walks the flagged rules and verifies each one's
@@ -18,9 +18,8 @@
 //!   policy containing them is rejected up front instead of silently
 //!   enforced wrong.
 
-use policy::{AnalysisReport, EffectReport, PolicyGraph};
+use policy::{AnalysisReport, EffectReport, Footprint, PolicyGraph, Region, Target};
 use rbac::{RoleId, UserId};
-use sentinel::{Footprint, Region, Target};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a policy cannot be sharded.

@@ -8,11 +8,8 @@
 //! catch an engine that silently enforces less than the policy demands.
 
 use crate::world::World;
-use owte_core::{apply_op, replay, state_diff, Engine, Journal, JournalOp};
+use owte_core::{state_diff, Engine};
 use policy::PolicyGraph;
-use sentinel::{Access, Region};
-use snoop::Ts;
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -83,21 +80,10 @@ pub enum Violation {
         /// First difference found.
         detail: String,
     },
-    /// A rule execution touched a state region outside the footprint the
-    /// static effect analysis declared for it — the soundness claim
-    /// `observed ⊆ declared` does not hold on this schedule.
-    FootprintViolated {
-        /// The rule whose execution escaped its declared footprint.
-        rule: String,
-        /// Whether the escape was a read or a write.
-        access: Access,
-        /// The region touched but not declared.
-        region: Region,
-    },
-    /// Replaying the acknowledged prefix through the compiled dispatch
-    /// plan and through the rule interpreter produced different
-    /// decisions, state, or audit records — compilation changed
-    /// semantics on this schedule.
+    /// The live engine, which runs the compiled dispatch plan, is not in
+    /// the state the rule interpreter reaches on the same acknowledged
+    /// ledger: different sessions, roles, enablement, clock or audit
+    /// records — compilation changed semantics on this schedule.
     CompiledDivergence {
         /// First difference found.
         detail: String,
@@ -186,14 +172,6 @@ impl fmt::Display for Violation {
             Violation::CoordinatorDrift { detail } => {
                 write!(f, "coordinator membership drifted from shard ground truth: {detail}")
             }
-            Violation::FootprintViolated {
-                rule,
-                access,
-                region,
-            } => write!(
-                f,
-                "footprint violation: rule `{rule}` performed an undeclared {access} of {region}"
-            ),
             Violation::CompiledDivergence { detail } => {
                 write!(
                     f,
@@ -233,12 +211,6 @@ pub struct Invariants {
     dsd: Vec<SodCheck>,
     role_caps: Vec<(String, usize)>,
     user_caps: Vec<(String, usize)>,
-    stripped_footprints: BTreeSet<String>,
-    /// Acked-ledger hashes whose compiled-vs-interpreted replay already
-    /// passed — the schedule explorer revisits identical prefixes
-    /// constantly, and each dual replay is the expensive part of the
-    /// suite.
-    compiled_checked: RefCell<BTreeSet<u64>>,
 }
 
 impl Invariants {
@@ -266,20 +238,7 @@ impl Invariants {
                 .iter()
                 .filter_map(|u| u.max_active_roles.map(|n| (u.name.clone(), n)))
                 .collect(),
-            stripped_footprints: BTreeSet::new(),
-            compiled_checked: RefCell::new(BTreeSet::new()),
         }
-    }
-
-    /// Doctor the suite: treat `rule`'s declared footprint as *empty*, so
-    /// its first recorded touch raises [`Violation::FootprintViolated`].
-    /// This is the seeded-bug hook for the effect analysis — it proves
-    /// the checker would catch an analyzer that under-declares, the same
-    /// way the stripped-SoD harness proves it catches an engine that
-    /// under-enforces.
-    pub fn with_stripped_footprint(mut self, rule: &str) -> Invariants {
-        self.stripped_footprints.insert(rule.to_string());
-        self
     }
 
     /// Evaluate every invariant against `world`, returning the first
@@ -304,75 +263,26 @@ impl Invariants {
             }
         }
 
-        // --- Observed effects stay within declared footprints. ---
-        // Touches are recorded under the rule that actually executed
-        // (cascaded rules record under their own name), so each one is
-        // checked against that rule's *direct* footprint — tighter than
-        // the sync-closed effective footprint used for interference.
-        for t in e.observed_touches() {
-            let declared_covers = !self.stripped_footprints.contains(&t.rule)
-                && world
-                    .effects()
-                    .effect_of(&t.rule)
-                    .is_some_and(|fp| fp.direct.covers(t.access, &t.region));
-            if !declared_covers {
-                return Some(Violation::FootprintViolated {
-                    rule: t.rule.clone(),
-                    access: t.access,
-                    region: t.region.clone(),
-                });
-            }
-        }
-
         // --- Durability, on the step that recovered from a crash. ---
-        if world.just_restarted() {
-            let acked = world.acked();
-            if d.op_count() != acked.len() as u64 {
-                return Some(Violation::AckedOpsLost {
-                    acked: acked.len(),
-                    recovered: d.op_count(),
-                });
-            }
-            let journal = Journal {
-                policy: world.graph().clone(),
-                start: world.start(),
-                ops: acked.to_vec(),
-            };
-            match replay(&journal) {
-                Err(err) => {
-                    return Some(Violation::StateDivergence {
-                        detail: format!("acknowledged prefix does not replay: {err}"),
-                    })
-                }
-                Ok(expected) => {
-                    if let Some(detail) = state_diff(e, &expected) {
-                        return Some(Violation::StateDivergence { detail });
-                    }
-                }
-            }
+        if world.just_restarted() && d.op_count() != world.acked().len() as u64 {
+            return Some(Violation::AckedOpsLost {
+                acked: world.acked().len(),
+                recovered: d.op_count(),
+            });
         }
 
-        // --- Compiled dispatch ≡ interpreter on the acked prefix. ---
-        // Every distinct acknowledged ledger is replayed through a
-        // compiled engine and an interpreter-pinned engine and the two
-        // must agree on decisions, state, clock, and the byte-for-byte
-        // audit trail. Together with the durability check above — which
-        // compares the post-restart engine (whose plan was *recompiled*
-        // on recovery) against a compiled replay — this also pins the
-        // crash-restart recompilation to interpreter semantics. Dual
-        // replay is expensive, so each ledger is checked once.
-        let acked = world.acked();
-        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
-        for op in acked {
-            for b in format!("{op:?}").bytes() {
-                fnv ^= u64::from(b);
-                fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        if self.compiled_checked.borrow_mut().insert(fnv) {
-            if let Some(detail) = compiled_divergence(world.graph(), world.start(), acked) {
-                return Some(Violation::CompiledDivergence { detail });
-            }
+        // --- The live engine is the reference interpreter's replay of
+        // the acknowledged ledger. --- Checked after every step: the live
+        // engine runs the compiled plan (recompiled on recovery), the
+        // reference walks the rule pool, and the two must agree on state,
+        // clock and the byte-for-byte audit trail. Right after a restart,
+        // a difference is lost durability rather than miscompilation.
+        if let Some(detail) = state_diff(e, world.interpreted()) {
+            return Some(if world.just_restarted() {
+                Violation::StateDivergence { detail }
+            } else {
+                Violation::CompiledDivergence { detail }
+            });
         }
 
         None
@@ -470,69 +380,9 @@ impl Invariants {
     }
 }
 
-/// Replay `ops` through a compiled engine and the reference evaluator
-/// ([`Engine::interpreted`]) of the same policy; return the first observable difference
-/// (including the audit trail), if any. Policies that fail to build are
-/// someone else's violation — this check only speaks to compilation.
-fn compiled_divergence(graph: &PolicyGraph, start: Ts, ops: &[JournalOp]) -> Option<String> {
-    let (Ok(mut compiled), Ok(mut interp)) = (
-        Engine::from_policy(graph, start),
-        Engine::interpreted(graph, start),
-    ) else {
-        return None;
-    };
-    for (i, op) in ops.iter().enumerate() {
-        let a = apply_op(&mut compiled, op);
-        let b = apply_op(&mut interp, op);
-        if a.is_ok() != b.is_ok() {
-            return Some(format!(
-                "op {i} ({op:?}): compiled {a:?} vs interpreted {b:?}"
-            ));
-        }
-    }
-    state_diff(&compiled, &interp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::Choice;
-    use crate::{tiny_enterprise, tiny_ops};
-    use owte_core::DurableConfig;
-
-    /// The compiled-divergence invariant is clean on the honest stack,
-    /// non-vacuous (the reference replay really arms a plan), and
-    /// memoized per distinct acked ledger.
-    #[test]
-    fn compiled_divergence_clean_and_nonvacuous_on_tiny_enterprise() {
-        let graph = tiny_enterprise();
-        let mut world =
-            World::new(&graph, tiny_ops(), DurableConfig::default()).expect("tiny instantiates");
-        let inv = Invariants::from_reference(&graph);
-        for _ in 0..tiny_ops().len() {
-            world.apply(&Choice::NextOp).expect("script step applies");
-            assert!(inv.check(&world).is_none(), "honest stack must be clean");
-        }
-        assert!(!world.acked().is_empty());
-        let probe = Engine::from_policy(&graph, world.start()).expect("reference builds");
-        assert!(
-            probe.compiled_active(),
-            "tiny enterprise must compile, or the divergence check is vacuous"
-        );
-        assert_eq!(
-            compiled_divergence(&graph, world.start(), world.acked()),
-            None
-        );
-        // Each distinct acked ledger is dual-replayed exactly once.
-        let distinct = inv.compiled_checked.borrow().len();
-        assert!(distinct >= 1, "at least one ledger must have been checked");
-        assert!(inv.check(&world).is_none());
-        assert_eq!(
-            inv.compiled_checked.borrow().len(),
-            distinct,
-            "re-checking an unchanged ledger must hit the memo"
-        );
-    }
 
     #[test]
     fn compiled_divergence_display_names_the_first_difference() {

@@ -23,8 +23,9 @@
 //! A pluggable invariant layer ([`Invariants`]) is evaluated after every
 //! scheduler step: no SSD/DSD or cardinality violation is ever
 //! observable, no acknowledged journal operation is lost across any
-//! crash point, post-recovery state always equals a sequential replay of
-//! the acknowledged prefix, and rule cascades stay within the static
+//! crash point, the engine — which runs the compiled plan, as a
+//! deployment does — always equals the rule interpreter's replay of the
+//! acknowledged prefix, and rule cascades stay within the static
 //! analyzer's proved depth bound.
 //!
 //! Violations are reported as a minimal replayable schedule: a

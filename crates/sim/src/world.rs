@@ -4,10 +4,10 @@
 
 use crate::op::SimOp;
 use owte_core::{
-    DurableConfig, DurableEngine, FaultKind, FaultPlan, FaultyStorage, JournalOp, MemStorage,
-    ScriptedFault,
+    apply_op, DurableConfig, DurableEngine, Engine, FaultKind, FaultPlan, FaultyStorage, JournalOp,
+    MemStorage, ScriptedFault,
 };
-use policy::{EffectReport, PolicyGraph};
+use policy::PolicyGraph;
 use rbac::SessionId;
 use snoop::{Dur, Ts};
 use std::fmt;
@@ -80,7 +80,8 @@ enum Node {
 }
 
 /// One complete simulated state: process, pending client script, the
-/// acknowledged-operation ledger, and the schedule that produced it.
+/// acknowledged-operation ledger with the reference interpreter fed from
+/// it, and the schedule that produced it.
 #[derive(Clone)]
 pub struct World {
     node: Node,
@@ -88,35 +89,31 @@ pub struct World {
     cursor: usize,
     sessions: Vec<Option<SessionId>>,
     acked: Vec<JournalOp>,
+    interpreted: Engine,
     crashes: usize,
     just_restarted: bool,
-    graph: Rc<PolicyGraph>,
     config: DurableConfig,
-    start: Ts,
     cascade_bound: Option<usize>,
-    effects: Rc<EffectReport>,
     schedule: Vec<Choice>,
 }
 
 impl World {
     /// Boot a fresh world: instantiate `graph`, write the genesis
-    /// snapshot, and stage `ops` as the client script.
+    /// snapshot, and stage `ops` as the client script. The process runs
+    /// the engine a deployment runs, compiled plan included; beside it,
+    /// [`Engine::interpreted`] over the same policy applies every
+    /// acknowledged op as it is acknowledged.
     pub fn new(
         graph: &PolicyGraph,
         ops: Vec<SimOp>,
         config: DurableConfig,
     ) -> Result<World, String> {
         let storage = FaultyStorage::new(MemStorage::new(), 0, FaultPlan::default());
-        let mut engine = DurableEngine::create(storage, graph, Ts::ZERO, config.clone())
+        let engine = DurableEngine::create(storage, graph, Ts::ZERO, config.clone())
             .map_err(|e| format!("world genesis failed: {e}"))?;
-        let report = engine.engine().analyze();
-        let cascade_bound = report.max_sync_depth;
-        let effects = Rc::new(report.effects);
-        // Arm effect recording so every explored schedule carries the
-        // observed-touch evidence the `FootprintViolated` invariant
-        // certifies against. Recording is pure monitoring state, so it
-        // is safe to toggle through the journal-bypassing handle.
-        engine.engine_mut().record_effects(true);
+        let cascade_bound = engine.engine().analyze().max_sync_depth;
+        let interpreted = Engine::interpreted(graph, Ts::ZERO)
+            .map_err(|e| format!("reference interpreter failed: {e}"))?;
         let users = graph.users.len();
         Ok(World {
             node: Node::Running(Box::new(engine)),
@@ -124,15 +121,28 @@ impl World {
             cursor: 0,
             sessions: vec![None; users],
             acked: Vec::new(),
+            interpreted,
             crashes: 0,
             just_restarted: false,
-            graph: Rc::new(graph.clone()),
             config,
-            start: Ts::ZERO,
             cascade_bound,
-            effects,
             schedule: Vec::new(),
         })
+    }
+
+    /// Hold this world's engine against the interpreter of `reference`
+    /// instead of its own policy. The seeded-bug hook for
+    /// [`crate::Violation::CompiledDivergence`]: an engine that decides
+    /// otherwise than the reference evaluator on the same ledger is what
+    /// a miscompiled plan looks like from outside, the way a doctored
+    /// graph is an under-enforcing monitor to the SoD invariants.
+    pub fn with_reference(mut self, reference: &PolicyGraph) -> Result<World, String> {
+        self.interpreted = Engine::interpreted(reference, Ts::ZERO)
+            .map_err(|e| format!("reference interpreter failed: {e}"))?;
+        for op in &self.acked {
+            let _ = apply_op(&mut self.interpreted, op);
+        }
+        Ok(self)
     }
 
     /// The live engine, if the process is up.
@@ -153,14 +163,17 @@ impl World {
         &self.acked
     }
 
-    /// The policy graph this world's engines are built from.
-    pub fn graph(&self) -> &PolicyGraph {
-        &self.graph
+    /// The reference interpreter, fed exactly [`World::acked`]: what the
+    /// live engine must equal whenever it is up.
+    pub fn interpreted(&self) -> &Engine {
+        &self.interpreted
     }
 
-    /// Virtual start instant (worlds boot at `Ts::ZERO`).
-    pub fn start(&self) -> Ts {
-        self.start
+    /// Book an acknowledged op: into the ledger, and through the
+    /// reference interpreter.
+    fn ack(&mut self, op: JournalOp) {
+        let _ = apply_op(&mut self.interpreted, &op);
+        self.acked.push(op);
     }
 
     /// Crash/restart cycles taken so far.
@@ -177,13 +190,6 @@ impl World {
     /// The analyzer's proved synchronous cascade bound for this policy.
     pub fn cascade_bound(&self) -> Option<usize> {
         self.cascade_bound
-    }
-
-    /// The static effect report (per-rule declared footprints) computed
-    /// once at genesis; the invariant layer checks every observed touch
-    /// against it.
-    pub fn effects(&self) -> &EffectReport {
-        &self.effects
     }
 
     /// The schedule (sequence of applied choices) that produced this
@@ -265,7 +271,7 @@ impl World {
                     return Err(StepError::NotEnabled(choice.clone()));
                 };
                 if let Some(j) = apply_client_op(d, &mut self.sessions, op) {
-                    self.acked.push(j);
+                    self.ack(j);
                 }
                 self.cursor += 1;
             }
@@ -285,7 +291,7 @@ impl World {
                     // The journal append (and its sync) beat the kill
                     // point: the op is acknowledged even though the
                     // client saw an error from a later storage op.
-                    self.acked.push(j);
+                    self.ack(j);
                 }
                 self.cursor += 1;
                 self.power_fail();
@@ -306,7 +312,7 @@ impl World {
                 let before = d.op_count();
                 let _ = d.advance_to(deadline);
                 if d.op_count() > before {
-                    self.acked.push(JournalOp::AdvanceTo { to: deadline });
+                    self.ack(JournalOp::AdvanceTo { to: deadline });
                 }
             }
             Choice::Restart => {
@@ -320,11 +326,7 @@ impl World {
                 };
                 let storage = FaultyStorage::new(mem, 0, FaultPlan::default());
                 match DurableEngine::open(storage, self.config.clone()) {
-                    Ok(mut d) => {
-                        // Recovery replays the journal with recording at
-                        // its snapshotted setting; re-arm deterministically
-                        // so post-restart execution is certified too.
-                        d.engine_mut().record_effects(true);
+                    Ok(d) => {
                         self.node = Node::Running(Box::new(d));
                         self.just_restarted = true;
                     }

@@ -62,16 +62,14 @@ commands:
   alerts                     active-security alerts
   analyze [--strict]         static rule-pool analysis: termination proof,
                              dead/shadowed rules, coverage, SoD conflicts
-                             and effect footprints; --strict fails (for
+                             and opaque footprints; --strict fails (for
                              scripted pipelines) on any diagnostic
   analyze --plan             dump the compiled execution plan (per-event
                              dispatch tables, condition bytecode, baked
                              actions); errors if the pool is unlicensed
-  dot policy | dot events | dot rules [--effects]
+  dot policy | dot events | dot rules
                              Graphviz DOT of the policy graph, the event
                              graph, or the rule-dependency graph
-                             (--effects: interference edges, commutativity
-                             classes as colors)
   help                       this text";
 
 impl Shell {
@@ -358,10 +356,6 @@ impl Shell {
                 let e = self.engine()?;
                 Ok(e.rule_graph_dot())
             }
-            ("dot", ["rules", "--effects"]) => {
-                let e = self.engine()?;
-                Ok(e.effect_graph_dot())
-            }
             ("analyze", ["--plan"]) => {
                 let e = self.engine()?;
                 e.plan_text().ok_or_else(|| {
@@ -380,13 +374,12 @@ impl Shell {
                 let e = self.engine()?;
                 let report = e.analyze();
                 let mut out = report.to_string().trim_end().to_string();
-                out.push_str(&format!("\neffects: {}", report.effects.summary()));
                 if e.proved_acyclic() {
                     out.push_str("\nexecutor: cascade-depth bookkeeping skipped (proved acyclic)");
                 }
                 if strict && !report.diagnostics.is_empty() {
                     // Strict mode makes every finding fatal so scripted
-                    // pipelines (CI `effects-check`) fail on warnings too.
+                    // pipelines (CI `compiled-path`) fail on warnings too.
                     return Err(format!(
                         "{out}\nstrict: {} diagnostic(s) present",
                         report.diagnostics.len()
@@ -571,7 +564,6 @@ mod tests {
         assert!(out.contains("PROVED-TERMINATING"), "{out}");
         assert!(out.contains("0 errors"));
         assert!(out.contains("proved acyclic"), "{out}");
-        assert!(out.contains("commutativity classes"), "{out}");
         // Listed in help.
         assert!(sh.exec("help").unwrap().contains("analyze"));
     }
@@ -623,15 +615,6 @@ mod tests {
         // Unknown flags still fail with the usage line.
         let usage = sh.exec("analyze --plan --strict").unwrap_err();
         assert!(usage.contains("usage:"), "{usage}");
-    }
-
-    #[test]
-    fn dot_effects_exports_interference_view() {
-        let mut sh = shell();
-        let out = sh.exec("dot rules --effects").unwrap();
-        assert!(out.starts_with("digraph effects {"), "{out}");
-        assert!(out.contains("AAR1_Teller"), "{out}");
-        assert!(out.contains("fillcolor"), "{out}");
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! deliberately broken variant produces a stable, ordered set of
 //! diagnostics.
 
-use policy::{
-    analyze, effect_dot, instantiate, rule_dependency_dot, DiagCode, PolicyGraph, Severity,
-};
+use policy::{analyze, instantiate, rule_dependency_dot, DiagCode, PolicyGraph, Severity};
 use sentinel::{attach_rule, ActionSpec, Check, CondExpr, Rule};
 use snoop::Ts;
 
@@ -122,26 +120,5 @@ fn rule_dependency_dot_exported() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("dot");
     if dir.is_dir() {
         std::fs::write(dir.join("rules_xyz.dot"), &dot).unwrap();
-    }
-}
-
-#[test]
-fn effect_interference_dot_exported() {
-    let inst = instantiate(&PolicyGraph::enterprise_xyz(), Ts::ZERO).unwrap();
-    let report = analyze(&inst);
-    let dot = effect_dot(&report.effects);
-    assert!(dot.starts_with("digraph effects {"), "{dot}");
-    for (_, r) in inst.pool.iter() {
-        assert!(
-            dot.contains(&format!("[label=\"{}\"", r.name)),
-            "missing node for {}",
-            r.name
-        );
-    }
-    // Refresh the committed artifact so `dot/effects_xyz.dot` always
-    // matches the effect analyzer.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("dot");
-    if dir.is_dir() {
-        std::fs::write(dir.join("effects_xyz.dot"), &dot).unwrap();
     }
 }

@@ -13,12 +13,12 @@
 
 use owte_core::DurableConfig;
 use repl::ReplConfig;
+use sentinel::AuditKind;
 use sim::{
     explore, run_schedule, strip_sod, tiny_enterprise, tiny_ops, Budget, Checker, Choice,
     ClusterInvariants, ClusterWorld, Invariants, NetChoice, Outcome, SimOp, SimWorld, Strategy,
     Violation, World,
 };
-use std::collections::BTreeSet;
 
 /// The durable config the clean sweep runs under: snapshot every 4 ops
 /// so the exhaustive sweep crosses snapshot writes and log compaction,
@@ -48,20 +48,15 @@ fn exhaustive_tiny_enterprise_is_clean() {
         "the GTRBAC enabling window must arm a detector timer at boot, \
          or the sweep never interleaves timer firings"
     );
-    // The footprint invariant must not pass vacuously: the world carries
-    // the static effect report and records touches as rules execute.
-    assert!(
-        !world.effects().effects.is_empty(),
-        "tiny enterprise produced no effect report — FootprintViolated \
-         would certify nothing"
-    );
+    // The sweep explores the engine a deployment runs: the compiled
+    // plan, held against the interpreter after every step.
     assert!(
         world
             .engine()
             .expect("world boots running")
             .engine()
-            .effects_recorded(),
-        "worlds must boot with effect recording armed"
+            .compiled_active(),
+        "the tiny enterprise must compile, or the sweep explores the interpreter"
     );
     let invariants = Invariants::from_reference(&graph);
     let budget = Budget {
@@ -159,11 +154,12 @@ fn seeded_ssd_violation_is_found_and_minimized() {
     assert_eq!(replayed, (violation, 3));
 }
 
-/// The footprint invariant certifies real evidence: running the whole
-/// client script records touches from several distinct rules, every one
-/// inside its statically declared footprint.
+/// The plan check compares real evidence: after every step of the client
+/// script the live engine, running the compiled plan, is in the state the
+/// reference interpreter reaches on the acknowledged ledger, and both
+/// logged rule firings, grants and denials along the way.
 #[test]
-fn footprint_certification_observes_real_touches() {
+fn plan_check_compares_the_deployed_plan_with_the_interpreter() {
     let graph = tiny_enterprise();
     let mut world =
         World::new(&graph, tiny_ops(), DurableConfig::default()).expect("tiny policy instantiates");
@@ -175,47 +171,43 @@ fn footprint_certification_observes_real_touches() {
             "honest stack violated an invariant mid-script"
         );
     }
-    let touches = world
-        .engine()
-        .expect("world still running")
-        .engine()
-        .observed_touches();
+    let live = world.engine().expect("world still running").engine();
+    assert!(live.compiled_active(), "the live engine runs the plan");
     assert!(
-        !touches.is_empty(),
-        "a 7-op script over an enterprise with SoD, windows and caps \
-         must execute at least one rule — recording is broken"
+        !world.interpreted().compiled_active(),
+        "the reference walks the rule pool"
     );
-    let rules: BTreeSet<&str> = touches.iter().map(|t| t.rule.as_str()).collect();
-    for rule in &rules {
-        let fp = world
-            .effects()
-            .effect_of(rule)
-            .unwrap_or_else(|| panic!("rule `{rule}` executed but has no static effect entry"));
-        assert!(
-            touches
-                .iter()
-                .filter(|t| t.rule == *rule)
-                .all(|t| fp.direct.covers(t.access, &t.region)),
-            "rule `{rule}` touched outside its declared direct footprint"
-        );
-    }
+    assert_eq!(live.log().entries(), world.interpreted().log().entries());
+    let count = |kinds: &[AuditKind]| {
+        live.log()
+            .entries()
+            .iter()
+            .filter(|e| kinds.contains(&e.kind))
+            .count()
+    };
+    let fired = count(&[AuditKind::Fired]);
+    let denied = count(&[AuditKind::Denied, AuditKind::ActionRejected]);
+    assert!(
+        fired > 0 && denied > 0,
+        "a 7-op script over an enterprise with SoD, windows and caps must \
+         fire rules and deny something: {fired} fired, {denied} denied"
+    );
 }
 
-/// Seeded-bug: a deliberately under-declared footprint — the invariant
-/// suite treats the check-access rule's declared footprint as empty while
-/// the engine keeps recording its real touches. The checker must raise
-/// `FootprintViolated` for exactly that rule and shrink the schedule to
-/// the shortest op prefix that makes it execute.
+/// Seeded-bug: the world's engine enforces a policy with its SoD sets
+/// stripped, while the reference interpreter runs the real one and the
+/// state invariants are derived from the stripped one, so only the plan
+/// check can see the difference. It must report `CompiledDivergence` on
+/// the step where the engine grants the assignment the reference refuses,
+/// and shrink the schedule to the ops up to it.
 #[test]
-fn seeded_footprint_underdeclaration_is_found_and_minimized() {
-    let graph = tiny_enterprise();
-    let world =
-        World::new(&graph, tiny_ops(), DurableConfig::default()).expect("tiny policy instantiates");
-    assert!(
-        world.effects().effect_of("CA").is_some(),
-        "generated pool must contain the check-access rule `CA`"
-    );
-    let invariants = Invariants::from_reference(&graph).with_stripped_footprint("CA");
+fn seeded_plan_divergence_is_found_and_minimized() {
+    let reference = tiny_enterprise();
+    let doctored = strip_sod(tiny_enterprise());
+    let world = World::new(&doctored, tiny_ops(), DurableConfig::default())
+        .and_then(|w| w.with_reference(&reference))
+        .expect("tiny policy instantiates");
+    let invariants = Invariants::from_reference(&doctored);
     let budget = Budget {
         max_steps: 10,
         max_crashes: 0,
@@ -234,32 +226,32 @@ fn seeded_footprint_underdeclaration_is_found_and_minimized() {
         ..
     } = outcome
     else {
-        panic!("under-declared footprint passed the containment invariant");
+        panic!("an engine diverging from the reference interpreter passed the plan check");
     };
-    let Violation::FootprintViolated { ref rule, .. } = violation else {
-        panic!("wrong violation reported: {violation}");
-    };
-    assert_eq!(rule, "CA", "the stripped rule must be the one reported");
-    // `CA` runs on the CHECK_ACCESS dispatch of ops[4]; nothing earlier
-    // triggers it, so the minimal schedule is exactly the five client
-    // ops up to and including the access check, timers shrunk away.
+    assert!(
+        matches!(violation, Violation::CompiledDivergence { .. }),
+        "wrong violation reported: {violation}"
+    );
+    // ops[3] is the SSD-conflicting assignment the doctored engine grants.
     assert_eq!(
         schedule.0,
-        vec![Choice::NextOp; 5],
-        "minimal schedule must stop at the first check-access op:\n{}",
+        vec![Choice::NextOp; 4],
+        "minimal schedule must stop at the conflicting assignment:\n{}",
         schedule.script(&world)
     );
     let replayed = run_schedule(&world, &invariants, &schedule.0)
         .expect("minimal schedule stays enabled")
         .expect("minimal schedule still violates");
-    assert_eq!(replayed.0, violation);
-    assert_eq!(replayed.1, 4, "violation observed on the check-access step");
-    // The same schedule is clean when the declared footprints are honest.
+    assert_eq!(replayed, (violation, 3));
+    // The same schedule is clean when the engine and the reference run
+    // one policy.
+    let honest = World::new(&doctored, tiny_ops(), DurableConfig::default())
+        .expect("tiny policy instantiates");
     assert!(
-        run_schedule(&world, &Invariants::from_reference(&graph), &schedule.0)
+        run_schedule(&honest, &invariants, &schedule.0)
             .expect("schedule stays enabled")
             .is_none(),
-        "honest footprints must cover the same execution"
+        "an engine and a reference on the same policy must agree"
     );
 }
 
