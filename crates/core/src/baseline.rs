@@ -11,7 +11,8 @@
 
 use crate::context::ContextState;
 use crate::engine::EngineError;
-use crate::privacy::PrivacyState;
+use crate::journal::{JournalOp, Outcome};
+use crate::privacy::{PrivacyState, PurposeId};
 use gtrbac::{
     RoleAction, RoleEvent, RoleTrigger, StatusPred, TemporalConstraints, TemporalPolicies,
 };
@@ -202,6 +203,53 @@ impl DirectEngine {
     }
 
     // ---- the RBAC functional surface, hard-coded ---------------------------
+
+    /// Run one request: the twin of [`crate::Engine::submit`] for the
+    /// oracle. The baseline has no events, so a `RawEvent` is unhandled.
+    pub fn submit(&mut self, op: &JournalOp) -> Result<Outcome, EngineError> {
+        match op {
+            JournalOp::CreateSession { user, initial } => {
+                self.create_session(*user, initial).map(Outcome::Session)
+            }
+            JournalOp::DeleteSession { user, session } => {
+                Outcome::done(self.delete_session(*user, *session))
+            }
+            JournalOp::AddActiveRole {
+                user,
+                session,
+                role,
+            } => Outcome::done(self.add_active_role(*user, *session, *role)),
+            JournalOp::DropActiveRole {
+                user,
+                session,
+                role,
+            } => Outcome::done(self.drop_active_role(*user, *session, *role)),
+            JournalOp::CheckAccess {
+                session,
+                op,
+                obj,
+                purpose,
+            } => {
+                let purpose = u32::try_from(*purpose).ok().map(PurposeId);
+                self.check_access_inner(*session, *op, *obj, purpose)
+                    .map(Outcome::Access)
+            }
+            JournalOp::AssignUser { user, role } => Outcome::done(self.assign_user(*user, *role)),
+            JournalOp::DeassignUser { user, role } => {
+                Outcome::done(self.deassign_user(*user, *role))
+            }
+            JournalOp::EnableRole { role } => Outcome::done(self.enable_role(*role)),
+            JournalOp::DisableRole { role } => Outcome::done(self.disable_role(*role)),
+            JournalOp::SetContext { key, value } => {
+                self.set_context(key, value);
+                Ok(Outcome::Done)
+            }
+            JournalOp::AdvanceTo { to } => Outcome::done(self.advance_to(*to)),
+            JournalOp::RawEvent { event, .. } => Err(EngineError::Unhandled(format!(
+                "the direct baseline raises no events ({event})"
+            ))),
+        }
+    }
 
     /// `CreateSession` with an initial active set.
     pub fn create_session(
@@ -569,6 +617,160 @@ mod tests {
         g.assign("bob", "DayDoctor");
         g.assign("bob", "Nurse");
         g
+    }
+
+    /// What the direct engine lets a caller observe.
+    fn observed(e: &DirectEngine) -> impl PartialEq + std::fmt::Debug {
+        let sys = &e.sys;
+        let sessions: Vec<_> = sys
+            .all_sessions()
+            .map(|s| (s, sys.session_roles(s).ok()))
+            .collect();
+        let enabled: Vec<_> = sys.all_roles().map(|r| sys.is_enabled(r).ok()).collect();
+        let assigned: Vec<_> = sys
+            .all_users()
+            .map(|u| sys.assigned_roles(u).ok())
+            .collect();
+        let history = (e.now, e.alerts.clone(), e.locked_down, e.denials.clone());
+        (sessions, enabled, assigned, history)
+    }
+
+    /// `op` through `submit` on `a`, `named` on `b`: the answers and the
+    /// states after must agree. Returns whether the request was refused.
+    fn same(
+        a: &mut DirectEngine,
+        b: &mut DirectEngine,
+        op: JournalOp,
+        named: impl Fn(&mut DirectEngine) -> Result<Outcome, EngineError>,
+    ) -> bool {
+        let answer = a.submit(&op);
+        assert_eq!(answer, named(b), "{op:?}");
+        assert_eq!(observed(a), observed(b), "{op:?}");
+        answer.is_err()
+    }
+
+    /// Every request variant answers the same and leaves the same state
+    /// whether it goes through `submit` or through the named method.
+    #[test]
+    fn submit_equals_the_named_methods() {
+        let mut g = hospital();
+        g.purposes.push(policy::PurposeSpec {
+            name: "treatment".into(),
+            parent: None,
+        });
+        g.object_policies.push(policy::ObjectPolicySpec {
+            op: "read".into(),
+            obj: "chart".into(),
+            role: "Doctor".into(),
+            purpose: "treatment".into(),
+        });
+        g.permission("read_chart", "read", "chart");
+        g.grant("read_chart", "Doctor");
+        let a = &mut DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
+        let b = &mut DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
+        let bob = a.user_id("bob").unwrap();
+        let role = |name| a.role_id(name).unwrap();
+        let (doctor, day, nurse) = (role("Doctor"), role("DayDoctor"), role("Nurse"));
+        let (read, chart) = (
+            a.sys.op_by_name("read").unwrap(),
+            a.sys.obj_by_name("chart").unwrap(),
+        );
+        let treatment = a.privacy.purpose_by_name("treatment").unwrap();
+        let s = SessionId(0);
+        let open = JournalOp::CreateSession {
+            user: bob,
+            initial: vec![doctor],
+        };
+        let add = |role| JournalOp::AddActiveRole {
+            user: bob,
+            session: s,
+            role,
+        };
+        let drop = |role| JournalOp::DropActiveRole {
+            user: bob,
+            session: s,
+            role,
+        };
+        let check = |purpose| JournalOp::CheckAccess {
+            session: s,
+            op: read,
+            obj: chart,
+            purpose,
+        };
+        let context = JournalOp::SetContext {
+            key: "zone".into(),
+            value: "z1".into(),
+        };
+        let raw = JournalOp::RawEvent {
+            event: "badgeSwipe".into(),
+            params: snoop::Params::new(),
+        };
+        let nine = Civil::new(2000, 1, 1, 9, 0, 0).to_ts();
+        let close = JournalOp::DeleteSession {
+            user: bob,
+            session: s,
+        };
+        let refused = [
+            same(a, b, open, |e| {
+                e.create_session(bob, &[doctor]).map(Outcome::Session)
+            }),
+            same(a, b, add(day), |e| {
+                Outcome::done(e.add_active_role(bob, s, day))
+            }),
+            same(a, b, add(nurse), |e| {
+                Outcome::done(e.add_active_role(bob, s, nurse))
+            }),
+            same(a, b, check(-1), |e| {
+                e.check_access(s, read, chart).map(Outcome::Access)
+            }),
+            same(a, b, check(i64::from(treatment.0)), |e| {
+                e.check_access_for_purpose(s, read, chart, "treatment")
+                    .map(Outcome::Access)
+            }),
+            same(a, b, drop(nurse), |e| {
+                Outcome::done(e.drop_active_role(bob, s, nurse))
+            }),
+            same(
+                a,
+                b,
+                JournalOp::DeassignUser {
+                    user: bob,
+                    role: nurse,
+                },
+                |e| Outcome::done(e.deassign_user(bob, nurse)),
+            ),
+            same(
+                a,
+                b,
+                JournalOp::AssignUser {
+                    user: bob,
+                    role: nurse,
+                },
+                |e| Outcome::done(e.assign_user(bob, nurse)),
+            ),
+            same(a, b, JournalOp::EnableRole { role: day }, |e| {
+                Outcome::done(e.enable_role(day))
+            }),
+            same(a, b, JournalOp::DisableRole { role: doctor }, |e| {
+                Outcome::done(e.disable_role(doctor))
+            }),
+            same(a, b, context, |e| {
+                e.set_context("zone", "z1");
+                Ok(Outcome::Done)
+            }),
+            same(a, b, raw, |_| {
+                let refusal = "the direct baseline raises no events (badgeSwipe)";
+                Err(EngineError::Unhandled(refusal.into()))
+            }),
+            same(a, b, JournalOp::AdvanceTo { to: nine }, |e| {
+                Outcome::done(e.advance_to(nine))
+            }),
+            same(a, b, JournalOp::AdvanceTo { to: Ts::ZERO }, |e| {
+                Outcome::done(e.advance_to(Ts::ZERO))
+            }),
+            same(a, b, close, |e| Outcome::done(e.delete_session(bob, s))),
+        ];
+        assert!(refused.contains(&true) && refused.contains(&false));
     }
 
     #[test]

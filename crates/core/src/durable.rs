@@ -1,11 +1,10 @@
 //! Crash-tolerant engine: write-ahead journaling over a [`Storage`]
 //! backend, with snapshot recovery.
 //!
-//! [`DurableEngine`] is the durable counterpart of
-//! [`crate::journal::RecordingEngine`]: every public operation is encoded
-//! as a [`JournalOp`] and appended to the WAL *before* it touches the
-//! in-memory engine, so the persisted history is always at least as long
-//! as the applied one. An operation whose append fails is rejected without
+//! [`DurableEngine::submit`] is its one write path: every request is a
+//! [`JournalOp`], appended to the WAL *before* it touches the in-memory
+//! engine, so the persisted history is always at least as long as the
+//! applied one. An operation whose append fails is rejected without
 //! being applied — the caller's acknowledgement and the log never
 //! disagree, which is the invariant the crash-consistency property tests
 //! pin down:
@@ -20,12 +19,12 @@
 //! from a future format version, a journal whose clock runs backwards).
 
 use crate::engine::{Engine, EngineError};
-use crate::journal::{apply_op, JournalOp};
+use crate::journal::{resubmit, JournalOp, Outcome};
 use crate::storage::Storage;
 use crate::wal::{Recovered, Wal, WalConfig, WalError};
 use policy::PolicyGraph;
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
-use snoop::{Params, Ts};
+use snoop::Ts;
 use std::fmt;
 
 /// An error from the durable layer.
@@ -34,7 +33,7 @@ pub enum DurableError {
     /// The WAL could not record or recover.
     Wal(WalError),
     /// The engine rejected the operation (after it was journaled — the
-    /// rejection is part of history, exactly as with `RecordingEngine`).
+    /// rejection is part of history).
     Engine(EngineError),
     /// The policy could not be instantiated on `create`.
     Instantiate(policy::InstantiateError),
@@ -220,9 +219,9 @@ impl<S: Storage> DurableEngine<S> {
         }
 
         for op in &ops {
-            // Only `AdvanceTo` can error out of `apply_op`, and the
-            // pre-scan above proved it cannot here.
-            apply_op(&mut engine, op).map_err(DurableError::Engine)?;
+            // Only `AdvanceTo` can fail a resubmission, and the pre-scan
+            // above proved it cannot here.
+            resubmit(&mut engine, op).map_err(DurableError::Engine)?;
         }
 
         Ok(DurableEngine {
@@ -270,172 +269,95 @@ impl<S: Storage> DurableEngine<S> {
         Ok(())
     }
 
-    /// See [`Engine::create_session`]. Failed operations are journaled
-    /// too: denials change state (audit log, security windows).
-    pub fn create_session(&mut self, user: UserId, initial: &[RoleId]) -> Result<SessionId> {
-        self.record(&JournalOp::CreateSession {
-            user,
-            initial: initial.to_vec(),
-        })?;
-        let r = self.engine.create_session(user, initial);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::delete_session`].
-    pub fn delete_session(&mut self, user: UserId, session: SessionId) -> Result<()> {
-        self.record(&JournalOp::DeleteSession { user, session })?;
-        let r = self.engine.delete_session(user, session);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::add_active_role`].
-    pub fn add_active_role(
-        &mut self,
-        user: UserId,
-        session: SessionId,
-        role: RoleId,
-    ) -> Result<()> {
-        self.record(&JournalOp::AddActiveRole {
-            user,
-            session,
-            role,
-        })?;
-        let r = self.engine.add_active_role(user, session, role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::drop_active_role`].
-    pub fn drop_active_role(
-        &mut self,
-        user: UserId,
-        session: SessionId,
-        role: RoleId,
-    ) -> Result<()> {
-        self.record(&JournalOp::DropActiveRole {
-            user,
-            session,
-            role,
-        })?;
-        let r = self.engine.drop_active_role(user, session, role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::check_access`] — recorded because denials feed the
-    /// active-security rules, so checks are state-changing.
-    pub fn check_access(&mut self, session: SessionId, op: OpId, obj: ObjId) -> Result<bool> {
-        self.record(&JournalOp::CheckAccess {
-            session,
-            op,
-            obj,
-            purpose: -1,
-        })?;
-        let r = self.engine.check_access(session, op, obj);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::assign_user`].
-    pub fn assign_user(&mut self, user: UserId, role: RoleId) -> Result<()> {
-        self.record(&JournalOp::AssignUser { user, role })?;
-        let r = self.engine.assign_user(user, role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::deassign_user`].
-    pub fn deassign_user(&mut self, user: UserId, role: RoleId) -> Result<()> {
-        self.record(&JournalOp::DeassignUser { user, role })?;
-        let r = self.engine.deassign_user(user, role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::enable_role`].
-    pub fn enable_role(&mut self, role: RoleId) -> Result<()> {
-        self.record(&JournalOp::EnableRole { role })?;
-        let r = self.engine.enable_role(role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::disable_role`].
-    pub fn disable_role(&mut self, role: RoleId) -> Result<()> {
-        self.record(&JournalOp::DisableRole { role })?;
-        let r = self.engine.disable_role(role);
-        self.maybe_snapshot();
-        r.map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::set_context`].
-    pub fn set_context(&mut self, key: &str, value: &str) -> Result<()> {
-        self.record(&JournalOp::SetContext {
-            key: key.to_string(),
-            value: value.to_string(),
-        })?;
-        let r = self.engine.set_context(key, value);
-        self.maybe_snapshot();
-        r.map(|_| ()).map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::advance_to`].
+    /// Run one request, journal-before-apply: the only write path, shared
+    /// by client operations and the records a follower receives from its
+    /// leader, so a promoted follower recovers replicated history from its
+    /// *own* log.
     ///
-    /// A regressing target is rejected *before* it is journaled: a
-    /// recorded clock regression would poison the log (replay refuses
-    /// it), so it must never reach storage.
-    pub fn advance_to(&mut self, to: Ts) -> Result<()> {
-        if to < self.engine.now() {
-            return Err(DurableError::Engine(EngineError::Unhandled(format!(
-                "clock regression: now {} -> {}",
-                self.engine.now(),
-                to
-            ))));
-        }
-        self.record(&JournalOp::AdvanceTo { to })?;
-        let r = self.engine.advance_to(to);
-        self.maybe_snapshot();
-        r.map(|_| ()).map_err(DurableError::Engine)
-    }
-
-    /// See [`Engine::dispatch`] (escape hatch for custom events).
-    pub fn dispatch(&mut self, event: &str, params: Params) -> Result<()> {
-        self.record(&JournalOp::RawEvent {
-            event: event.to_string(),
-            params: params.clone(),
-        })?;
-        let r = self.engine.dispatch(event, params);
-        self.maybe_snapshot();
-        r.map(|_| ()).map_err(DurableError::Engine)
-    }
-
-    /// Journal-before-apply a record replicated from a leader's log.
-    ///
-    /// This is the follower's write path: the op is journaled to the local
-    /// WAL first, then applied, exactly like a client op — so a promoted
-    /// follower recovers replicated history from its *own* durable log.
-    /// The acknowledgement contract is the same as for client ops: if this
-    /// returns an error before the journal append succeeded, nothing was
-    /// applied and the follower must not acknowledge the record.
-    ///
-    /// A regressing `AdvanceTo` is rejected before it is journaled (it
-    /// would poison the local log), mirroring [`DurableEngine::advance_to`].
-    pub fn apply_replicated(&mut self, op: &JournalOp) -> Result<()> {
+    /// A regressing `AdvanceTo` is refused before it is journaled: a
+    /// recorded clock regression would poison the log (recovery refuses
+    /// it). Otherwise the op is appended to the WAL, and only once that
+    /// succeeded is it applied; if the append fails, nothing was applied
+    /// and the caller must not acknowledge the op. Refused requests are
+    /// journaled too: denials change state (audit log, security windows),
+    /// and come back as [`DurableError::Engine`].
+    pub fn submit(&mut self, op: &JournalOp) -> Result<Outcome> {
         if let JournalOp::AdvanceTo { to } = op {
             if *to < self.engine.now() {
                 return Err(DurableError::Engine(EngineError::Unhandled(format!(
-                    "replicated clock regression: now {} -> {}",
+                    "clock regression: now {} -> {}",
                     self.engine.now(),
                     to
                 ))));
             }
         }
         self.record(op)?;
-        let r = apply_op(&mut self.engine, op);
+        let r = self.engine.submit(op);
         self.maybe_snapshot();
         r.map_err(DurableError::Engine)
+    }
+
+    /// `CreateSession` through [`DurableEngine::submit`].
+    pub fn create_session(&mut self, user: UserId, initial: &[RoleId]) -> Result<SessionId> {
+        let initial = initial.to_vec();
+        match self.submit(&JournalOp::CreateSession { user, initial })? {
+            Outcome::Session(s) => Ok(s),
+            other => unreachable!("CreateSession answered {other:?}"),
+        }
+    }
+
+    /// `DeleteSession` through [`DurableEngine::submit`].
+    pub fn delete_session(&mut self, user: UserId, session: SessionId) -> Result<()> {
+        self.submit(&JournalOp::DeleteSession { user, session })
+            .map(|_| ())
+    }
+
+    /// `AddActiveRole` through [`DurableEngine::submit`].
+    pub fn add_active_role(
+        &mut self,
+        user: UserId,
+        session: SessionId,
+        role: RoleId,
+    ) -> Result<()> {
+        self.submit(&JournalOp::AddActiveRole {
+            user,
+            session,
+            role,
+        })
+        .map(|_| ())
+    }
+
+    /// `DropActiveRole` through [`DurableEngine::submit`].
+    pub fn drop_active_role(
+        &mut self,
+        user: UserId,
+        session: SessionId,
+        role: RoleId,
+    ) -> Result<()> {
+        self.submit(&JournalOp::DropActiveRole {
+            user,
+            session,
+            role,
+        })
+        .map(|_| ())
+    }
+
+    /// `CheckAccess` without a purpose through [`DurableEngine::submit`]
+    /// — journaled because denials feed the active-security rules, so
+    /// checks are state-changing.
+    pub fn check_access(&mut self, session: SessionId, op: OpId, obj: ObjId) -> Result<bool> {
+        self.submit(&JournalOp::CheckAccess {
+            session,
+            op,
+            obj,
+            purpose: -1,
+        })
+        .map(|outcome| outcome == Outcome::Access(true))
+    }
+
+    /// A clock advance through [`DurableEngine::submit`].
+    pub fn advance_to(&mut self, to: Ts) -> Result<()> {
+        self.submit(&JournalOp::AdvanceTo { to }).map(|_| ())
     }
 
     /// Decode the journaled operations with global index `>= from` from
@@ -600,5 +522,48 @@ mod tests {
         // rejected op left no torn or unacknowledged record behind.
         let reopened = DurableEngine::open(d.into_storage(), DurableConfig::default()).unwrap();
         assert_eq!(reopened.recovery_stats(), RecoveryStats::default());
+    }
+
+    /// A purpose-bound check decides with its purpose when submitted, and
+    /// again when recovery replays it from the journal.
+    #[test]
+    fn a_replayed_check_keeps_its_purpose() {
+        let g = policy::parse(
+            r#"policy "clinic" {
+                roles Nurse;
+                users nina;
+                assign nina -> Nurse;
+                permission read_record = read on patient_record;
+                grant read_record -> Nurse;
+                purpose treatment;
+                object_policy read on patient_record for Nurse requires treatment;
+            }"#,
+        )
+        .unwrap();
+        let mut d =
+            DurableEngine::create(MemStorage::new(), &g, Ts::ZERO, DurableConfig::default())
+                .unwrap();
+        let mut reference = Engine::from_policy(&g, Ts::ZERO).unwrap();
+        let nina = d.user_id("nina").unwrap();
+        let nurse = d.role_id("Nurse").unwrap();
+        let s = d.create_session(nina, &[nurse]).unwrap();
+        assert_eq!(reference.create_session(nina, &[nurse]), Ok(s));
+        let read = d.engine().system().op_by_name("read").unwrap();
+        let record = d.engine().system().obj_by_name("patient_record").unwrap();
+        let treatment = d.engine().privacy().purpose_by_name("treatment").unwrap();
+
+        let check = JournalOp::CheckAccess {
+            session: s,
+            op: read,
+            obj: record,
+            purpose: i64::from(treatment.0),
+        };
+        assert_eq!(d.submit(&check).unwrap(), Outcome::Access(true));
+        assert_eq!(
+            reference.check_access_for_purpose(s, read, record, "treatment"),
+            Ok(true)
+        );
+        let reopened = DurableEngine::open(d.into_storage(), DurableConfig::default()).unwrap();
+        assert_eq!(crate::state_diff(reopened.engine(), &reference), None);
     }
 }

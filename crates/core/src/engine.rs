@@ -9,6 +9,7 @@
 
 use crate::bridge::BridgeView;
 use crate::context::ContextState;
+use crate::journal::{JournalOp, Outcome};
 use crate::privacy::PrivacyState;
 use crate::snapshot::PolicyView;
 use parking_lot::Mutex;
@@ -673,6 +674,48 @@ impl Engine {
 
     // ---- the RBAC functional surface, rule-enforced ---------------------------
 
+    /// Run one request: the single mapping from a [`JournalOp`] to the
+    /// per-operation methods below. A `CheckAccess` keeps its purpose.
+    pub fn submit(&mut self, op: &JournalOp) -> Result<Outcome, EngineError> {
+        match op {
+            JournalOp::CreateSession { user, initial } => {
+                self.create_session(*user, initial).map(Outcome::Session)
+            }
+            JournalOp::DeleteSession { user, session } => {
+                Outcome::done(self.delete_session(*user, *session))
+            }
+            JournalOp::AddActiveRole {
+                user,
+                session,
+                role,
+            } => Outcome::done(self.add_active_role(*user, *session, *role)),
+            JournalOp::DropActiveRole {
+                user,
+                session,
+                role,
+            } => Outcome::done(self.drop_active_role(*user, *session, *role)),
+            JournalOp::CheckAccess {
+                session,
+                op,
+                obj,
+                purpose,
+            } => self
+                .check_access_inner(*session, *op, *obj, *purpose)
+                .map(Outcome::Access),
+            JournalOp::AssignUser { user, role } => Outcome::done(self.assign_user(*user, *role)),
+            JournalOp::DeassignUser { user, role } => {
+                Outcome::done(self.deassign_user(*user, *role))
+            }
+            JournalOp::EnableRole { role } => Outcome::done(self.enable_role(*role)),
+            JournalOp::DisableRole { role } => Outcome::done(self.disable_role(*role)),
+            JournalOp::SetContext { key, value } => Outcome::done(self.set_context(key, value)),
+            JournalOp::AdvanceTo { to } => Outcome::done(self.advance_to(*to)),
+            JournalOp::RawEvent { event, params } => {
+                Outcome::done(self.dispatch(event, params.clone()))
+            }
+        }
+    }
+
     /// `CreateSession`: opened directly on the monitor; the initial role
     /// set is activated through the rules, and a rule denial rolls the
     /// session back (matching `rbac::System::create_session`).
@@ -1071,6 +1114,121 @@ mod tests {
         let pc = e.role_id("PC").unwrap();
         let err = e.assign_user(bob, pc).unwrap_err();
         assert!(matches!(err, EngineError::Denied(_)));
+    }
+
+    /// `op` through `submit` on `a`, `named` on `b`: the answers and the
+    /// states after must agree. Returns whether the request was refused.
+    fn same(
+        a: &mut Engine,
+        b: &mut Engine,
+        op: JournalOp,
+        named: impl Fn(&mut Engine) -> Result<Outcome, EngineError>,
+    ) -> bool {
+        let answer = a.submit(&op);
+        assert_eq!(answer, named(b), "{op:?}");
+        assert_eq!(state_diff(a, b), None, "{op:?}");
+        answer.is_err()
+    }
+
+    /// Every request variant answers the same and leaves the same state
+    /// whether it goes through `submit` or through the named method.
+    #[test]
+    fn submit_equals_the_named_methods() {
+        let (a, b) = (&mut xyz_engine(), &mut xyz_engine());
+        let (alice, bob) = (a.user_id("alice").unwrap(), a.user_id("bob").unwrap());
+        let role = |name| a.role_id(name).unwrap();
+        let (pm, pc, clerk) = (role("PM"), role("PC"), role("Clerk"));
+        let (create, po) = (
+            a.system().op_by_name("create").unwrap(),
+            a.system().obj_by_name("purchase_order").unwrap(),
+        );
+        let s = SessionId(0);
+        let open = JournalOp::CreateSession {
+            user: alice,
+            initial: vec![pm],
+        };
+        let add = |role| JournalOp::AddActiveRole {
+            user: alice,
+            session: s,
+            role,
+        };
+        let drop = |role| JournalOp::DropActiveRole {
+            user: alice,
+            session: s,
+            role,
+        };
+        let assign = |role| JournalOp::AssignUser { user: bob, role };
+        let deassign = |role| JournalOp::DeassignUser { user: bob, role };
+        let check = JournalOp::CheckAccess {
+            session: s,
+            op: create,
+            obj: po,
+            purpose: -1,
+        };
+        let params = Params::new()
+            .with("session", i64::from(s.0))
+            .with("op", i64::from(create.0))
+            .with("obj", i64::from(po.0))
+            .with("purpose", -1i64);
+        let raw = |event: &str| JournalOp::RawEvent {
+            event: event.into(),
+            params: params.clone(),
+        };
+        let context = JournalOp::SetContext {
+            key: "zone".into(),
+            value: "z1".into(),
+        };
+        let (hour, minute) = (Ts::from_secs(3600), Ts::from_secs(60));
+        let advance = |to| JournalOp::AdvanceTo { to };
+        let close = JournalOp::DeleteSession {
+            user: alice,
+            session: s,
+        };
+        let refused = [
+            same(a, b, open, |e| {
+                e.create_session(alice, &[pm]).map(Outcome::Session)
+            }),
+            same(a, b, add(pc), |e| {
+                Outcome::done(e.add_active_role(alice, s, pc))
+            }),
+            same(a, b, add(pc), |e| {
+                Outcome::done(e.add_active_role(alice, s, pc))
+            }),
+            same(a, b, check, |e| {
+                e.check_access(s, create, po).map(Outcome::Access)
+            }),
+            same(a, b, raw(events::CHECK_ACCESS), |e| {
+                Outcome::done(e.dispatch(events::CHECK_ACCESS, params.clone()))
+            }),
+            same(a, b, raw("no_such_event"), |e| {
+                Outcome::done(e.dispatch("no_such_event", params.clone()))
+            }),
+            same(a, b, drop(pc), |e| {
+                Outcome::done(e.drop_active_role(alice, s, pc))
+            }),
+            same(a, b, assign(clerk), |e| {
+                Outcome::done(e.assign_user(bob, clerk))
+            }),
+            same(a, b, assign(pc), |e| Outcome::done(e.assign_user(bob, pc))),
+            same(a, b, deassign(clerk), |e| {
+                Outcome::done(e.deassign_user(bob, clerk))
+            }),
+            same(a, b, JournalOp::DisableRole { role: clerk }, |e| {
+                Outcome::done(e.disable_role(clerk))
+            }),
+            same(a, b, JournalOp::EnableRole { role: clerk }, |e| {
+                Outcome::done(e.enable_role(clerk))
+            }),
+            same(a, b, context, |e| {
+                Outcome::done(e.set_context("zone", "z1"))
+            }),
+            same(a, b, advance(hour), |e| Outcome::done(e.advance_to(hour))),
+            same(a, b, advance(minute), |e| {
+                Outcome::done(e.advance_to(minute))
+            }),
+            same(a, b, close, |e| Outcome::done(e.delete_session(alice, s))),
+        ];
+        assert!(refused.contains(&true) && refused.contains(&false));
     }
 
     #[test]

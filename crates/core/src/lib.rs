@@ -25,6 +25,13 @@
 //!   deterministic fault injector ([`storage::FaultyStorage`]) for
 //!   crash-consistency testing.
 //!
+//! One request type runs end to end: a [`JournalOp`] is an ANSI RBAC
+//! function (or a clock, context or raw event) raised by a client, and
+//! every engine runs it through one `submit` — [`Engine::submit`],
+//! [`DirectEngine::submit`] and [`DurableEngine::submit`], which journals
+//! it before applying — answering with an [`Outcome`]. [`replay`] rebuilds
+//! an engine from a request history.
+//!
 //! ```
 //! use owte_core::Engine;
 //! use policy::PolicyGraph;
@@ -65,9 +72,7 @@ pub use cast::checked_index;
 pub use context::ContextState;
 pub use durable::{DurableConfig, DurableEngine, DurableError, RecoveryStats};
 pub use engine::{state_diff, Engine, EngineError};
-pub use journal::{
-    apply_op, replay, Journal, JournalEnvelope, JournalOp, RecordingEngine, JOURNAL_FORMAT_VERSION,
-};
+pub use journal::{replay, JournalOp, Outcome};
 pub use privacy::{ObjectPolicy, PrivacyState, PurposeId};
 pub use shared::SharedEngine;
 pub use snapshot::{AuthSnapshot, PolicyView};

@@ -342,6 +342,10 @@ pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
     /// Next raw 64-bit output.
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "an endless seeded stream, not an iterator that may end"
+    )]
     pub fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;

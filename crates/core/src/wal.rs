@@ -157,6 +157,9 @@ fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Decoded record payloads, each with its global record index.
+type Records = Vec<(u64, Vec<u8>)>;
+
 /// Decode consecutive frames starting at global record index `first`.
 ///
 /// Returns the decoded records and whether the byte stream ended inside a
@@ -166,7 +169,7 @@ fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// torn append leaves a strict prefix of correct bytes, never a full
 /// header that fails its own checksum, so `hcrc` mismatch means damage,
 /// not a crash.
-fn decode_frames(mut bytes: &[u8], first: u64) -> Result<(Vec<(u64, Vec<u8>)>, bool)> {
+fn decode_frames(mut bytes: &[u8], first: u64) -> Result<(Records, bool)> {
     let mut recs = Vec::new();
     let mut idx = first;
     loop {

@@ -255,10 +255,8 @@ pub(crate) fn check(g: &RuleGraph, diagnostics: &mut Vec<Diagnostic>) -> Termina
             }
         }
     }
-    for v in 0..g.edges.len() {
-        if self_loop(&g.edges, v, true) {
-            on_sync_cycle[v] = true;
-        }
+    for (v, on) in on_sync_cycle.iter_mut().enumerate() {
+        *on |= self_loop(&g.edges, v, true);
     }
 
     for comp in sccs(&g.edges, false) {

@@ -5,7 +5,7 @@
 //! acknowledges is shipped to the followers as a CRC-framed
 //! [`Payload::Append`] batch over a [`Transport`]. Followers journal each
 //! record to their *own* durable WAL before applying it
-//! ([`DurableEngine::apply_replicated`]), so a promoted follower recovers
+//! ([`DurableEngine::submit`]), so a promoted follower recovers
 //! replicated history from its own disk, then acknowledge with their new
 //! journal length. The leader's *commit index* is the longest prefix
 //! durably journaled everywhere — `min(leader length, min follower acked
@@ -645,7 +645,7 @@ impl Cluster {
             // Engine-level rejections are part of history (denials change
             // audit state), exactly as on the leader; only a failed
             // journal append stops the batch unacknowledged.
-            let _ = d.apply_replicated(&op);
+            let _ = d.submit(&op);
             if d.op_count() == before {
                 break;
             }
@@ -912,7 +912,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owte_core::apply_op;
     use owte_core::Engine;
 
     fn policy() -> PolicyGraph {
@@ -950,11 +949,7 @@ mod tests {
     }
 
     fn replay_state(c: &Cluster, upto: u64) -> Engine {
-        let mut e = Engine::from_policy(&policy(), Ts::ZERO).unwrap();
-        for op in &c.history()[..checked_index(upto)] {
-            let _ = apply_op(&mut e, op);
-        }
-        e
+        owte_core::replay(&policy(), Ts::ZERO, &c.history()[..checked_index(upto)]).unwrap()
     }
 
     #[test]
@@ -1035,7 +1030,11 @@ mod tests {
         c.with_leader(|d| {
             let ann = d.user_id("ann").unwrap();
             let clerk = d.role_id("clerk").unwrap();
-            d.deassign_user(ann, clerk).unwrap();
+            d.submit(&JournalOp::DeassignUser {
+                user: ann,
+                role: clerk,
+            })
+            .unwrap();
         })
         .unwrap();
         c.settle();

@@ -38,7 +38,7 @@
 use crate::coord::{Coordinator, OpToken, ReserveOutcome};
 use crate::plan::{membership_of, ShardPlan, Unshardable};
 use crate::ring::Ring;
-use owte_core::{DurableConfig, DurableEngine, DurableError, Engine, MemStorage};
+use owte_core::{DurableConfig, DurableEngine, DurableError, Engine, JournalOp, MemStorage};
 use parking_lot::Mutex;
 use policy::PolicyGraph;
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
@@ -348,7 +348,11 @@ impl ShardedEngine {
 
     /// Set a context variable on every shard, then resync.
     pub fn set_context(&self, key: &str, value: &str) -> Result<(), DurableError> {
-        self.broadcast(|eng| eng.set_context(key, value))
+        let op = JournalOp::SetContext {
+            key: key.to_string(),
+            value: value.to_string(),
+        };
+        self.broadcast(|eng| eng.submit(&op).map(|_| ()))
     }
 
     fn broadcast(

@@ -31,7 +31,7 @@ use crate::explore::{Budget, Checker, SimWorld, Stats};
 use crate::invariants::{Invariants, Violation};
 use crate::op::SimOp;
 use crate::world::{apply_client_op, hash_engine, Fnv, StepError};
-use owte_core::{checked_index, replay, state_diff, Journal};
+use owte_core::{checked_index, replay, state_diff};
 use policy::PolicyGraph;
 use rbac::SessionId;
 use repl::{Cluster, Payload, ReadOutcome, ReplConfig, Transport};
@@ -556,12 +556,7 @@ impl Checker<ClusterWorld> for ClusterInvariants {
                     ),
                 });
             }
-            let journal = Journal {
-                policy: world.graph().clone(),
-                start: Ts::ZERO,
-                ops: c.history()[..k].to_vec(),
-            };
-            match replay(&journal) {
+            match replay(world.graph(), Ts::ZERO, &c.history()[..k]) {
                 Err(err) => {
                     return Some(Violation::FollowerDivergence {
                         node: n,

@@ -4,8 +4,8 @@
 
 use crate::op::SimOp;
 use owte_core::{
-    apply_op, DurableConfig, DurableEngine, Engine, FaultKind, FaultPlan, FaultyStorage, JournalOp,
-    MemStorage, ScriptedFault,
+    DurableConfig, DurableEngine, Engine, FaultKind, FaultPlan, FaultyStorage, JournalOp,
+    MemStorage, Outcome, ScriptedFault,
 };
 use policy::PolicyGraph;
 use rbac::SessionId;
@@ -140,7 +140,7 @@ impl World {
         self.interpreted = Engine::interpreted(reference, Ts::ZERO)
             .map_err(|e| format!("reference interpreter failed: {e}"))?;
         for op in &self.acked {
-            let _ = apply_op(&mut self.interpreted, op);
+            let _ = self.interpreted.submit(op);
         }
         Ok(self)
     }
@@ -172,7 +172,7 @@ impl World {
     /// Book an acknowledged op: into the ledger, and through the
     /// reference interpreter.
     fn ack(&mut self, op: JournalOp) {
-        let _ = apply_op(&mut self.interpreted, &op);
+        let _ = self.interpreted.submit(&op);
         self.acked.push(op);
     }
 
@@ -453,92 +453,64 @@ pub fn apply_client_op(
     sessions: &mut [Option<SessionId>],
     op: &SimOp,
 ) -> Option<JournalOp> {
+    let request = resolve(d.engine(), sessions, op)?;
     let before = d.op_count();
-    let journaled: Option<JournalOp> = match op {
-        SimOp::CreateSession { user } => {
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let res = d.create_session(u, &[]);
-            if let Ok(s) = res {
-                sessions[*user] = Some(s);
-            }
-            Some(JournalOp::CreateSession {
-                user: u,
-                initial: vec![],
-            })
-        }
-        SimOp::DeleteSession { user } => {
-            let s = sessions[*user].take()?;
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let _ = d.delete_session(u, s);
-            Some(JournalOp::DeleteSession {
-                user: u,
-                session: s,
-            })
-        }
-        SimOp::AddActiveRole { user, role } => {
-            let s = sessions[*user]?;
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let r = d.role_id(role).ok()?;
-            let _ = d.add_active_role(u, s, r);
-            Some(JournalOp::AddActiveRole {
-                user: u,
-                session: s,
-                role: r,
-            })
-        }
-        SimOp::DropActiveRole { user, role } => {
-            let s = sessions[*user]?;
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let r = d.role_id(role).ok()?;
-            let _ = d.drop_active_role(u, s, r);
-            Some(JournalOp::DropActiveRole {
-                user: u,
-                session: s,
-                role: r,
-            })
-        }
-        SimOp::CheckAccess { user, op, obj } => {
-            let s = sessions[*user]?;
-            let o = d.engine().system().op_by_name(op).ok()?;
-            let b = d.engine().system().obj_by_name(obj).ok()?;
-            let _ = d.check_access(s, o, b);
-            Some(JournalOp::CheckAccess {
-                session: s,
-                op: o,
-                obj: b,
-                purpose: -1,
-            })
-        }
-        SimOp::AssignUser { user, role } => {
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let r = d.role_id(role).ok()?;
-            let _ = d.assign_user(u, r);
-            Some(JournalOp::AssignUser { user: u, role: r })
-        }
-        SimOp::DeassignUser { user, role } => {
-            let u = d.user_id(&workload::enterprise::user_name(*user)).ok()?;
-            let r = d.role_id(role).ok()?;
-            let _ = d.deassign_user(u, r);
-            Some(JournalOp::DeassignUser { user: u, role: r })
-        }
-        SimOp::Advance { secs } => {
-            let to = d.engine().now() + Dur::from_secs(*secs);
-            let _ = d.advance_to(to);
-            Some(JournalOp::AdvanceTo { to })
-        }
-        SimOp::SetContext { key, value } => {
-            let _ = d.set_context(key, value);
-            Some(JournalOp::SetContext {
-                key: key.clone(),
-                value: value.clone(),
-            })
-        }
-    };
-    if d.op_count() > before {
-        journaled
-    } else {
-        None
+    let outcome = d.submit(&request);
+    if let (SimOp::CreateSession { user }, Ok(Outcome::Session(s))) = (op, outcome) {
+        sessions[*user] = Some(s);
     }
+    (d.op_count() > before).then_some(request)
+}
+
+/// The request `op` stands for against `e`'s names and the tracked
+/// `sessions`, or `None` when a name or the session is missing. A delete
+/// forgets the tracked session either way.
+fn resolve(e: &Engine, sessions: &mut [Option<SessionId>], op: &SimOp) -> Option<JournalOp> {
+    let user = |i: usize| e.user_id(&workload::enterprise::user_name(i)).ok();
+    Some(match op {
+        SimOp::CreateSession { user: i } => JournalOp::CreateSession {
+            user: user(*i)?,
+            initial: vec![],
+        },
+        SimOp::DeleteSession { user: i } => {
+            let session = sessions[*i].take()?;
+            JournalOp::DeleteSession {
+                user: user(*i)?,
+                session,
+            }
+        }
+        SimOp::AddActiveRole { user: i, role } => JournalOp::AddActiveRole {
+            session: sessions[*i]?,
+            user: user(*i)?,
+            role: e.role_id(role).ok()?,
+        },
+        SimOp::DropActiveRole { user: i, role } => JournalOp::DropActiveRole {
+            session: sessions[*i]?,
+            user: user(*i)?,
+            role: e.role_id(role).ok()?,
+        },
+        SimOp::CheckAccess { user: i, op, obj } => JournalOp::CheckAccess {
+            session: sessions[*i]?,
+            op: e.system().op_by_name(op).ok()?,
+            obj: e.system().obj_by_name(obj).ok()?,
+            purpose: -1,
+        },
+        SimOp::AssignUser { user: i, role } => JournalOp::AssignUser {
+            user: user(*i)?,
+            role: e.role_id(role).ok()?,
+        },
+        SimOp::DeassignUser { user: i, role } => JournalOp::DeassignUser {
+            user: user(*i)?,
+            role: e.role_id(role).ok()?,
+        },
+        SimOp::Advance { secs } => JournalOp::AdvanceTo {
+            to: e.now() + Dur::from_secs(*secs),
+        },
+        SimOp::SetContext { key, value } => JournalOp::SetContext {
+            key: key.clone(),
+            value: value.clone(),
+        },
+    })
 }
 
 /// FNV-1a, built up from strings and integers. Shared by every world's

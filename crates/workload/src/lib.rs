@@ -6,10 +6,8 @@
 
 #![warn(missing_docs)]
 
-pub mod drive;
 pub mod enterprise;
 pub mod trace;
 
-pub use drive::{drive, Driver};
 pub use enterprise::{generate as generate_enterprise, EnterpriseSpec};
 pub use trace::{generate as generate_trace, Step, TraceSpec};

@@ -5,7 +5,7 @@
 //! Two full OWTE engines are built from the same policy; one runs its
 //! compiled plan, the other is the reference evaluator,
 //! [`Engine::interpreted`]. Both are driven step by step through the
-//! shared [`workload::drive`] runner; after every step the decision must
+//! shared [`support::drive`] runner; after every step the answer must
 //! match, and after the whole trace the observable state (sessions, active
 //! role sets, enabled flags) **and the complete audit log** must be equal —
 //! the compiled path is required to write byte-identical audit records.
@@ -17,28 +17,12 @@
 
 mod support;
 
-use owte_core::{Engine, EngineError, SplitMix64};
+use owte_core::{Engine, JournalOp, SplitMix64};
 use policy::PolicyGraph;
-use rbac::{RoleId, SessionId, UserId};
-use snoop::{Dur, Ts};
-use workload::{
-    drive, generate_enterprise, generate_trace, Driver, EnterpriseSpec, Step, TraceSpec,
-};
-
-/// Decision outcome, comparable across engines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Outcome {
-    Granted,
-    Denied,
-    Access(bool),
-}
-
-fn outcome(r: Result<(), EngineError>) -> Outcome {
-    match r {
-        Ok(()) => Outcome::Granted,
-        Err(_) => Outcome::Denied,
-    }
-}
+use rbac::{SessionId, System};
+use snoop::Ts;
+use support::{drive, Driver};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
 
 struct Harness {
     compiled: Engine,
@@ -127,36 +111,6 @@ impl Harness {
         }
     }
 
-    fn user(&self, idx: usize) -> UserId {
-        self.compiled
-            .user_id(&workload::enterprise::user_name(idx))
-            .unwrap()
-    }
-
-    fn role(&self, idx: usize) -> RoleId {
-        self.compiled
-            .role_id(&workload::enterprise::role_name(idx))
-            .unwrap()
-    }
-
-    fn agree(&mut self, a: Outcome, b: Outcome) {
-        assert_eq!(
-            a, b,
-            "{} diverged: compiled {a:?} vs interpreted {b:?} [{}]",
-            self.at, self.ctx
-        );
-        let granted = matches!(a, Outcome::Granted | Outcome::Access(true));
-        if granted {
-            self.seen.grants += 1;
-        } else {
-            self.seen.denials += 1;
-        }
-        let changed = self.seen.incremental + self.seen.full_rebuilds > 0;
-        if changed && granted {
-            self.seen.granted_since += 1;
-        }
-    }
-
     /// Compare final observable state and the complete audit trail.
     fn assert_states_equal(&self) {
         let a = self.compiled.system();
@@ -192,8 +146,6 @@ impl Harness {
 }
 
 impl Driver for Harness {
-    type Session = SessionId;
-
     fn on_step(&mut self, index: usize, step: &Step) {
         self.at = format!("step {index} ({})", step.describe());
         if self
@@ -204,58 +156,32 @@ impl Driver for Harness {
         }
     }
 
-    fn create_session(&mut self, user: usize) -> Option<SessionId> {
-        let u = self.user(user);
-        let a = self.compiled.create_session(u, &[]);
-        let b = self.interp.create_session(u, &[]);
-        self.agree(Outcome::Access(a.is_ok()), Outcome::Access(b.is_ok()));
-        if let (Ok(sa), Ok(sb)) = (&a, &b) {
-            assert_eq!(sa, sb, "session id allocation must match");
+    fn system(&self) -> &System {
+        self.compiled.system()
+    }
+
+    /// Both engines answer alike — outcome, session id, or a refusal.
+    /// Requests, not clock or context events, are tallied.
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+        let a = self.compiled.submit(op).ok();
+        let b = self.interp.submit(op).ok();
+        assert_eq!(
+            a, b,
+            "{} diverged: compiled {a:?} vs interpreted {b:?} [{}]",
+            self.at, self.ctx
+        );
+        if let Some(granted) = support::granted(op, a) {
+            if granted {
+                self.seen.grants += 1;
+            } else {
+                self.seen.denials += 1;
+            }
+            let changed = self.seen.incremental + self.seen.full_rebuilds > 0;
+            if changed && granted {
+                self.seen.granted_since += 1;
+            }
         }
-        a.ok()
-    }
-
-    fn delete_session(&mut self, user: usize, session: SessionId) {
-        let u = self.user(user);
-        let a = outcome(self.compiled.delete_session(u, session));
-        let b = outcome(self.interp.delete_session(u, session));
-        self.agree(a, b);
-    }
-
-    fn add_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        let a = outcome(self.compiled.add_active_role(u, session, r));
-        let b = outcome(self.interp.add_active_role(u, session, r));
-        self.agree(a, b);
-    }
-
-    fn drop_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        let a = outcome(self.compiled.drop_active_role(u, session, r));
-        let b = outcome(self.interp.drop_active_role(u, session, r));
-        self.agree(a, b);
-    }
-
-    fn check_access(&mut self, session: SessionId, op: usize, obj: usize) {
-        let (Ok(op), Ok(obj)) = (
-            self.compiled.system().op_by_name(&format!("op{op}")),
-            self.compiled.system().obj_by_name(&format!("obj{obj}")),
-        ) else {
-            return;
-        };
-        let a = Outcome::Access(self.compiled.check_access(session, op, obj).unwrap());
-        let b = Outcome::Access(self.interp.check_access(session, op, obj).unwrap());
-        self.agree(a, b);
-    }
-
-    fn advance(&mut self, secs: u64) {
-        self.compiled.advance(Dur::from_secs(secs)).unwrap();
-        self.interp.advance(Dur::from_secs(secs)).unwrap();
-    }
-
-    fn set_context(&mut self, zone: &str) {
-        self.compiled.set_context("zone", zone).unwrap();
-        self.interp.set_context("zone", zone).unwrap();
+        support::opened(a)
     }
 }
 

@@ -3,7 +3,7 @@
 //! disk has to come up with them rebuilt. An empty index would answer
 //! "nobody holds this role" and grant past every cardinality cap.
 
-use owte_core::{DurableConfig, DurableEngine, FileStorage, MemStorage};
+use owte_core::{DurableConfig, DurableEngine, FileStorage, JournalOp, MemStorage};
 use policy::PolicyGraph;
 use rbac::{System, UserId};
 use snoop::Ts;
@@ -91,7 +91,8 @@ fn committed_stores_open_with_their_derived_state() {
             activations > 0,
             "{fixture}"
         );
-        d.disable_role(clerk).expect("no rule forbids it");
+        d.submit(&JournalOp::DisableRole { role: clerk })
+            .expect("no rule forbids it");
         assert!(
             !d.engine().system().role_active_anywhere(clerk),
             "{fixture}"

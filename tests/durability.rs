@@ -16,159 +16,35 @@ mod support;
 
 use owte_core::{
     replay, state_diff, DurableConfig, DurableEngine, DurableError, FaultPlan, FaultyStorage,
-    FileStorage, Journal, JournalOp, MemStorage, Storage, Wal, WalConfig, WalError,
+    FileStorage, JournalOp, MemStorage, Storage, Wal, WalConfig, WalError,
 };
-use rbac::SessionId;
+use rbac::{SessionId, System};
 use snoop::Ts;
-use workload::{generate_enterprise, generate_trace, Driver, EnterpriseSpec, Step, TraceSpec};
+use support::Driver;
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
 
-/// Drive a durable engine through a trace, recording every operation the
+/// [`Driver`] over a [`DurableEngine`], recording every operation the
 /// engine *acknowledged journaling* (detected via the op counter, since a
 /// denied request is journaled too while a storage failure is not).
 /// Operations keep being attempted after the storage dies — the engine
 /// must reject them without corrupting its history.
-fn record_op<S: Storage>(d: &mut DurableEngine<S>, acked: &mut Vec<JournalOp>, op: JournalOp) {
-    let before = d.op_count();
-    let _ = match &op {
-        JournalOp::DeleteSession { user, session } => d.delete_session(*user, *session),
-        JournalOp::AddActiveRole {
-            user,
-            session,
-            role,
-        } => d.add_active_role(*user, *session, *role),
-        JournalOp::DropActiveRole {
-            user,
-            session,
-            role,
-        } => d.drop_active_role(*user, *session, *role),
-        JournalOp::CheckAccess {
-            session, op, obj, ..
-        } => d.check_access(*session, *op, *obj).map(|_| ()),
-        JournalOp::AdvanceTo { to } => d.advance_to(*to),
-        JournalOp::SetContext { key, value } => d.set_context(key, value),
-        other => panic!("trace does not produce {other:?}"),
-    };
-    if d.op_count() > before {
-        acked.push(op);
-    }
-}
-
-/// [`Driver`] over a [`DurableEngine`], recording the acknowledged ops.
 struct Durable<'a, S: Storage> {
     d: &'a mut DurableEngine<S>,
     acked: &'a mut Vec<JournalOp>,
 }
 
 impl<S: Storage> Driver for Durable<'_, S> {
-    type Session = SessionId;
+    fn system(&self) -> &System {
+        self.d.engine().system()
+    }
 
-    fn create_session(&mut self, user: usize) -> Option<SessionId> {
-        let u = self
-            .d
-            .engine()
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
         let before = self.d.op_count();
-        let res = self.d.create_session(u, &[]);
+        let answer = self.d.submit(op);
         if self.d.op_count() > before {
-            self.acked.push(JournalOp::CreateSession {
-                user: u,
-                initial: vec![],
-            });
+            self.acked.push(op.clone());
         }
-        res.ok()
-    }
-
-    fn delete_session(&mut self, user: usize, session: SessionId) {
-        let u = self
-            .d
-            .engine()
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        record_op(
-            self.d,
-            self.acked,
-            JournalOp::DeleteSession { user: u, session },
-        );
-    }
-
-    fn add_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let u = self
-            .d
-            .engine()
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        let r = self
-            .d
-            .engine()
-            .role_id(&workload::enterprise::role_name(role))
-            .unwrap();
-        record_op(
-            self.d,
-            self.acked,
-            JournalOp::AddActiveRole {
-                user: u,
-                session,
-                role: r,
-            },
-        );
-    }
-
-    fn drop_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let u = self
-            .d
-            .engine()
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        let r = self
-            .d
-            .engine()
-            .role_id(&workload::enterprise::role_name(role))
-            .unwrap();
-        record_op(
-            self.d,
-            self.acked,
-            JournalOp::DropActiveRole {
-                user: u,
-                session,
-                role: r,
-            },
-        );
-    }
-
-    fn check_access(&mut self, session: SessionId, op: usize, obj: usize) {
-        let (Ok(op), Ok(obj)) = (
-            self.d.engine().system().op_by_name(&format!("op{op}")),
-            self.d.engine().system().obj_by_name(&format!("obj{obj}")),
-        ) else {
-            return;
-        };
-        record_op(
-            self.d,
-            self.acked,
-            JournalOp::CheckAccess {
-                session,
-                op,
-                obj,
-                purpose: -1,
-            },
-        );
-    }
-
-    fn advance(&mut self, secs: u64) {
-        let to = self.d.engine().now() + snoop::Dur::from_secs(secs);
-        record_op(self.d, self.acked, JournalOp::AdvanceTo { to });
-    }
-
-    fn set_context(&mut self, zone: &str) {
-        record_op(
-            self.d,
-            self.acked,
-            JournalOp::SetContext {
-                key: "zone".to_string(),
-                value: zone.to_string(),
-            },
-        );
+        support::opened(answer.ok())
     }
 }
 
@@ -178,7 +54,7 @@ fn drive_durable<S: Storage>(
     users: usize,
     acked: &mut Vec<JournalOp>,
 ) {
-    workload::drive(&mut Durable { d, acked }, trace, users);
+    support::drive(&mut Durable { d, acked }, trace, users);
 }
 
 fn enterprise(seed: u64) -> (workload::EnterpriseSpec, policy::PolicyGraph) {
@@ -271,12 +147,8 @@ fn recovery_equals_prefix_replay() {
             seen.opened += 1;
             seen.ops += acked.len();
 
-            let expected = replay(&Journal {
-                policy: graph.clone(),
-                start: Ts::ZERO,
-                ops: acked,
-            })
-            .unwrap_or_else(|e| panic!("acknowledged prefix replays: {e}"));
+            let expected = replay(&graph, Ts::ZERO, &acked)
+                .unwrap_or_else(|e| panic!("acknowledged prefix replays: {e}"));
             assert_eq!(state_diff(recovered.engine(), &expected), None);
         },
     ) else {
@@ -372,12 +244,7 @@ fn torn_final_frame_truncates_to_previous_op() {
         recovered.recovery_stats().truncated_tail,
         "the dropped torn record must be surfaced to the caller"
     );
-    let expected = replay(&Journal {
-        policy: graph,
-        start: Ts::ZERO,
-        ops: acked[..acked.len() - 1].to_vec(),
-    })
-    .unwrap();
+    let expected = replay(&graph, Ts::ZERO, &acked[..acked.len() - 1]).unwrap();
     assert_eq!(state_diff(recovered.engine(), &expected), None);
 }
 

@@ -2,34 +2,18 @@
 //! baseline make **identical decisions** on random enterprises and random
 //! workload traces — the paper's flexibility does not change semantics.
 //!
-//! Both engines are driven step by step via the shared [`workload::drive`]
-//! runner; after every step the decision (allow/deny) must match, and after
-//! the whole trace the observable state (per-session active role sets,
-//! per-role enabled flags) must be equal.
+//! Both engines are driven step by step via the shared [`support::drive`]
+//! runner; after every step the answer (outcome or refusal) must match,
+//! and after the whole trace the observable state (per-session active role
+//! sets, per-role enabled flags) must be equal.
 
 mod support;
 
-use owte_core::{DirectEngine, Engine, EngineError};
-use rbac::{RoleId, SessionId, UserId};
-use snoop::{Dur, Ts};
-use workload::{
-    drive, generate_enterprise, generate_trace, Driver, EnterpriseSpec, Step, TraceSpec,
-};
-
-/// Decision outcome, comparable across engines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Outcome {
-    Granted,
-    Denied,
-    Access(bool),
-}
-
-fn owte_outcome(r: Result<(), EngineError>) -> Outcome {
-    match r {
-        Ok(()) => Outcome::Granted,
-        Err(_) => Outcome::Denied,
-    }
-}
+use owte_core::{DirectEngine, Engine, JournalOp};
+use rbac::{SessionId, System};
+use snoop::Ts;
+use support::{drive, Driver};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
 
 struct Harness {
     owte: Engine,
@@ -61,30 +45,6 @@ impl Harness {
         }
     }
 
-    fn user(&self, idx: usize) -> UserId {
-        self.owte
-            .user_id(&workload::enterprise::user_name(idx))
-            .unwrap()
-    }
-
-    fn role(&self, idx: usize) -> RoleId {
-        self.owte
-            .role_id(&workload::enterprise::role_name(idx))
-            .unwrap()
-    }
-
-    fn agree(&mut self, a: Outcome, b: Outcome) {
-        assert_eq!(
-            a, b,
-            "{} diverged: OWTE {a:?} vs direct {b:?} [{}]",
-            self.at, self.ctx
-        );
-        match a {
-            Outcome::Granted | Outcome::Access(true) => self.seen.grants += 1,
-            Outcome::Denied | Outcome::Access(false) => self.seen.denials += 1,
-        }
-    }
-
     /// Compare final observable state.
     fn assert_states_equal(&self) {
         let a = self.owte.system();
@@ -110,64 +70,30 @@ impl Harness {
 }
 
 impl Driver for Harness {
-    type Session = SessionId;
-
     fn on_step(&mut self, index: usize, step: &Step) {
         self.at = format!("step {index} ({})", step.describe());
     }
 
-    fn create_session(&mut self, user: usize) -> Option<SessionId> {
-        let u = self.user(user);
-        let a = self.owte.create_session(u, &[]);
-        let b = self.direct.create_session(u, &[]);
-        self.agree(Outcome::Access(a.is_ok()), Outcome::Access(b.is_ok()));
-        if let (Ok(sa), Ok(sb)) = (&a, &b) {
-            assert_eq!(sa, sb, "session id allocation must match");
+    fn system(&self) -> &System {
+        self.owte.system()
+    }
+
+    /// Both engines answer alike — outcome, session id, or a refusal.
+    /// Requests, not clock or context events, are tallied.
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+        let a = self.owte.submit(op).ok();
+        let b = self.direct.submit(op).ok();
+        assert_eq!(
+            a, b,
+            "{} diverged: OWTE {a:?} vs direct {b:?} [{}]",
+            self.at, self.ctx
+        );
+        match support::granted(op, a) {
+            Some(true) => self.seen.grants += 1,
+            Some(false) => self.seen.denials += 1,
+            None => {}
         }
-        a.ok()
-    }
-
-    fn delete_session(&mut self, user: usize, session: SessionId) {
-        let u = self.user(user);
-        let a = owte_outcome(self.owte.delete_session(u, session));
-        let b = owte_outcome(self.direct.delete_session(u, session).map(|_| ()));
-        self.agree(a, b);
-    }
-
-    fn add_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        let a = owte_outcome(self.owte.add_active_role(u, session, r));
-        let b = owte_outcome(self.direct.add_active_role(u, session, r));
-        self.agree(a, b);
-    }
-
-    fn drop_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        let a = owte_outcome(self.owte.drop_active_role(u, session, r));
-        let b = owte_outcome(self.direct.drop_active_role(u, session, r));
-        self.agree(a, b);
-    }
-
-    fn check_access(&mut self, session: SessionId, op: usize, obj: usize) {
-        let (Ok(op), Ok(obj)) = (
-            self.owte.system().op_by_name(&format!("op{op}")),
-            self.owte.system().obj_by_name(&format!("obj{obj}")),
-        ) else {
-            return;
-        };
-        let a = Outcome::Access(self.owte.check_access(session, op, obj).unwrap());
-        let b = Outcome::Access(self.direct.check_access(session, op, obj).unwrap());
-        self.agree(a, b);
-    }
-
-    fn advance(&mut self, secs: u64) {
-        self.owte.advance(Dur::from_secs(secs)).unwrap();
-        self.direct.advance(Dur::from_secs(secs)).unwrap();
-    }
-
-    fn set_context(&mut self, zone: &str) {
-        self.owte.set_context("zone", zone).unwrap();
-        self.direct.set_context("zone", zone);
+        support::opened(a)
     }
 }
 

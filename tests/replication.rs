@@ -2,79 +2,32 @@
 //! rebuilt from the primary's journal is state-identical — the determinism
 //! that makes the paper's "distributed access control" future work
 //! implementable as state-machine replication.
+//!
+//! The primary is the one that ships: a `DurableEngine<MemStorage>` that
+//! never compacts its log (`snapshot_every: None`, as cluster nodes run).
+//! Replicas are built two ways — by replaying the decoded journal on a
+//! fresh engine, and by recovering a second durable engine from the
+//! journal bytes.
 
 mod support;
 
-use owte_core::{replay, state_diff, RecordingEngine};
-use rbac::SessionId;
+use owte_core::{replay, state_diff, DurableConfig, DurableEngine, JournalOp, MemStorage};
+use rbac::{SessionId, System};
 use snoop::Ts;
-use workload::{drive, generate_enterprise, generate_trace, Driver, EnterpriseSpec, TraceSpec};
+use support::{drive, Driver};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
 
-/// [`Driver`] over a [`RecordingEngine`]: every call lands on the primary,
-/// which journals it; decisions are irrelevant here (denied requests are
-/// journaled too).
-struct Primary<'a>(&'a mut RecordingEngine);
+/// [`Driver`] over the primary: every request is journaled, then applied;
+/// decisions are irrelevant here (denied requests are journaled too).
+struct Primary<'a>(&'a mut DurableEngine<MemStorage>);
 
 impl Driver for Primary<'_> {
-    type Session = SessionId;
-
-    fn create_session(&mut self, user: usize) -> Option<SessionId> {
-        let u = self
-            .0
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        self.0.create_session(u, &[]).ok()
+    fn system(&self) -> &System {
+        self.0.engine().system()
     }
 
-    fn delete_session(&mut self, user: usize, session: SessionId) {
-        let u = self
-            .0
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        let _ = self.0.delete_session(u, session);
-    }
-
-    fn add_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let u = self
-            .0
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        let r = self
-            .0
-            .role_id(&workload::enterprise::role_name(role))
-            .unwrap();
-        let _ = self.0.add_active_role(u, session, r);
-    }
-
-    fn drop_active_role(&mut self, user: usize, session: SessionId, role: usize) {
-        let u = self
-            .0
-            .user_id(&workload::enterprise::user_name(user))
-            .unwrap();
-        let r = self
-            .0
-            .role_id(&workload::enterprise::role_name(role))
-            .unwrap();
-        let _ = self.0.drop_active_role(u, session, r);
-    }
-
-    fn check_access(&mut self, session: SessionId, op: usize, obj: usize) {
-        let (Ok(op), Ok(obj)) = (
-            self.0.engine().system().op_by_name(&format!("op{op}")),
-            self.0.engine().system().obj_by_name(&format!("obj{obj}")),
-        ) else {
-            return;
-        };
-        let _ = self.0.check_access(session, op, obj);
-    }
-
-    fn advance(&mut self, secs: u64) {
-        let to = self.0.engine().now() + snoop::Dur::from_secs(secs);
-        self.0.advance_to(to).unwrap();
-    }
-
-    fn set_context(&mut self, zone: &str) {
-        self.0.set_context("zone", zone).unwrap();
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+        support::opened(self.0.submit(op).ok())
     }
 }
 
@@ -85,21 +38,30 @@ struct Journaled {
     sessions: usize,
 }
 
+fn config() -> DurableConfig {
+    DurableConfig {
+        snapshot_every: None,
+        ..DurableConfig::default()
+    }
+}
+
 /// A primary built from enterprise `spec` (seed `ent_seed`), driven
-/// through a `trace` (seed `trace_seed`).
+/// through a `trace` (seed `trace_seed`), and the policy it started from.
 fn primary_run(
     spec: &EnterpriseSpec,
     ent_seed: u64,
     trace: &TraceSpec,
     trace_seed: u64,
-) -> RecordingEngine {
+) -> (DurableEngine<MemStorage>, policy::PolicyGraph) {
     let graph = generate_enterprise(spec, ent_seed);
     let trace = generate_trace(trace, trace_seed);
-    let mut primary = RecordingEngine::from_policy(&graph, Ts::ZERO).unwrap();
+    let mut primary = DurableEngine::create(MemStorage::new(), &graph, Ts::ZERO, config()).unwrap();
     drive(&mut Primary(&mut primary), &trace, spec.users);
-    primary
+    (primary, graph)
 }
 
+/// Replaying the primary's decoded journal from its first record on a
+/// fresh engine reaches the primary's state.
 #[test]
 fn replica_equals_primary() {
     let Some(seen) = support::cases("replica_equals_primary", 16, |rng, seen: &mut Journaled| {
@@ -122,10 +84,18 @@ fn replica_equals_primary() {
             ..TraceSpec::default()
         };
         let (ent_seed, trace_seed) = (rng.below(500) as u64, rng.below(500) as u64);
-        let primary = primary_run(&spec, ent_seed, &trace, trace_seed);
-        let replica = replay(primary.journal()).unwrap_or_else(|e| panic!("journal replays: {e}"));
+        let (primary, graph) = primary_run(&spec, ent_seed, &trace, trace_seed);
+        let ops: Vec<JournalOp> = primary
+            .ops_from(0)
+            .unwrap()
+            .into_iter()
+            .map(|(_, op)| op)
+            .collect();
+        assert_eq!(ops.len() as u64, primary.op_count());
+        let replica =
+            replay(&graph, Ts::ZERO, &ops).unwrap_or_else(|e| panic!("journal replays: {e}"));
         assert_eq!(state_diff(primary.engine(), &replica), None);
-        seen.ops += primary.journal().ops.len();
+        seen.ops += ops.len();
         seen.sessions += primary.engine().system().session_count();
     }) else {
         return;
@@ -135,7 +105,8 @@ fn replica_equals_primary() {
 }
 
 /// The journal survives serialization (a real replica receives it over
-/// the wire).
+/// the wire): a durable engine recovered from the primary's log bytes,
+/// with nothing but the genesis snapshot to start from, is state-equal.
 #[test]
 fn replica_from_serialized_journal() {
     let Some(seen) = support::cases(
@@ -151,12 +122,13 @@ fn replica_from_serialized_journal() {
                 objects: spec.permissions,
                 ..TraceSpec::default()
             };
-            let primary = primary_run(&spec, seed, &trace, seed);
-            let wire = serde_json::to_vec(primary.journal()).unwrap();
-            let journal: owte_core::Journal = serde_json::from_slice(&wire).unwrap();
-            let replica = replay(&journal).unwrap_or_else(|e| panic!("replays: {e}"));
-            assert_eq!(state_diff(primary.engine(), &replica), None);
-            seen.ops += journal.ops.len();
+            let (primary, _) = primary_run(&spec, seed, &trace, seed);
+            let replica = DurableEngine::open(primary.storage().clone(), config())
+                .unwrap_or_else(|e| panic!("recovers: {e}"));
+            assert_eq!(replica.snapshot_ops(), 0, "replayed from genesis");
+            assert_eq!(replica.op_count(), primary.op_count());
+            assert_eq!(state_diff(primary.engine(), replica.engine()), None);
+            seen.ops += owte_core::checked_index(replica.op_count());
             seen.sessions += primary.engine().system().session_count();
         },
     ) else {

@@ -19,15 +19,14 @@
 
 mod support;
 
-use owte_core::Engine;
-use rbac::{RoleId, SessionId, UserId};
+use owte_core::{Engine, JournalOp};
+use rbac::{RoleId, SessionId, System, UserId};
 use sentinel::{AuditEntry, AuditKind};
 use shard::{ShardSession, ShardedEngine};
-use snoop::{Dur, EventId, Ts};
-use std::collections::BTreeSet;
-use workload::{
-    drive, generate_enterprise, generate_trace, Driver, EnterpriseSpec, Step, TraceSpec,
-};
+use snoop::{EventId, Ts};
+use std::collections::{BTreeMap, BTreeSet};
+use support::{drive, Driver};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
 
 /// The session-id-free audit projection compared at shard counts where
 /// allocation order may legitimately differ from the reference.
@@ -42,6 +41,8 @@ struct Harness {
     sharded: ShardedEngine,
     shards: usize,
     users: usize,
+    /// The sharded session behind each of the reference's session ids.
+    sessions: BTreeMap<SessionId, ShardSession>,
     /// Replay context (seeds + current step) prepended to divergence panics.
     ctx: String,
     at: String,
@@ -58,6 +59,7 @@ impl Harness {
             sharded,
             shards,
             users: spec.users,
+            sessions: BTreeMap::new(),
             ctx,
             at: String::new(),
         }
@@ -66,12 +68,6 @@ impl Harness {
     fn user(&self, idx: usize) -> UserId {
         self.base
             .user_id(&workload::enterprise::user_name(idx))
-            .unwrap()
-    }
-
-    fn role(&self, idx: usize) -> RoleId {
-        self.base
-            .role_id(&workload::enterprise::role_name(idx))
             .unwrap()
     }
 
@@ -194,105 +190,56 @@ impl Harness {
     }
 }
 
-impl Driver for Harness {
-    type Session = (SessionId, ShardSession);
-
-    fn on_step(&mut self, index: usize, step: &Step) {
-        self.at = format!("step {index} ({})", step.describe());
-    }
-
-    fn create_session(&mut self, user: usize) -> Option<(SessionId, ShardSession)> {
-        let u = self.user(user);
+impl Harness {
+    /// `CreateSession` on both sides; remember the sharded session.
+    fn create_session(&mut self, u: UserId) -> Option<SessionId> {
         let mut pair = (None, None);
-        let (base_sid, shard_sess) = {
-            let p = &mut pair;
-            self.routed(
-                u,
-                |e| match e.create_session(u, &[]) {
-                    Ok(sid) => {
-                        p.0 = Some(sid);
-                        true
-                    }
-                    Err(_) => false,
-                },
-                |sh| match sh.create_session(u, &[]) {
-                    Ok(sess) => {
-                        p.1 = Some(sess);
-                        true
-                    }
-                    Err(_) => false,
-                },
+        let p = &mut pair;
+        self.routed(
+            u,
+            |e| e.create_session(u, &[]).map(|sid| p.0 = Some(sid)).is_ok(),
+            |sh| {
+                sh.create_session(u, &[])
+                    .map(|sess| p.1 = Some(sess))
+                    .is_ok()
+            },
+        );
+        let (Some(sid), Some(sess)) = pair else {
+            return None;
+        };
+        if self.shards == 1 {
+            assert_eq!(
+                sid, sess.session,
+                "single-shard session id allocation must match [{}]",
+                self.ctx
             );
-            (pair.0, pair.1)
-        };
-        match (base_sid, shard_sess) {
-            (Some(sid), Some(sess)) => {
-                if self.shards == 1 {
-                    assert_eq!(
-                        sid, sess.session,
-                        "single-shard session id allocation must match [{}]",
-                        self.ctx
-                    );
-                }
-                Some((sid, sess))
-            }
-            _ => None,
         }
+        self.sessions.insert(sid, sess);
+        Some(sid)
     }
 
-    fn delete_session(&mut self, user: usize, session: (SessionId, ShardSession)) {
-        let u = self.user(user);
-        self.routed(
-            u,
-            |e| e.delete_session(u, session.0).is_ok(),
-            |sh| sh.delete_session(u, session.1).is_ok(),
+    fn check_access(&mut self, session: SessionId, base_op: rbac::OpId, base_obj: rbac::ObjId) {
+        let sys = self.base.system();
+        let (op_name, obj_name) = (
+            sys.op_name(base_op).unwrap(),
+            sys.obj_name(base_obj).unwrap(),
         );
-    }
-
-    fn add_active_role(&mut self, user: usize, session: (SessionId, ShardSession), role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        self.routed(
-            u,
-            |e| e.add_active_role(u, session.0, r).is_ok(),
-            |sh| sh.add_active_role(u, session.1, r).is_ok(),
-        );
-    }
-
-    fn drop_active_role(&mut self, user: usize, session: (SessionId, ShardSession), role: usize) {
-        let (u, r) = (self.user(user), self.role(role));
-        self.routed(
-            u,
-            |e| e.drop_active_role(u, session.0, r).is_ok(),
-            |sh| sh.drop_active_role(u, session.1, r).is_ok(),
-        );
-    }
-
-    fn check_access(&mut self, session: (SessionId, ShardSession), op: usize, obj: usize) {
-        let (op_name, obj_name) = (format!("op{op}"), format!("obj{obj}"));
-        let Ok(base_op) = self.base.system().op_by_name(&op_name) else {
-            return;
-        };
-        let Ok(base_obj) = self.base.system().obj_by_name(&obj_name) else {
-            return;
-        };
-        let Some((shard_op, shard_obj)) = self.sharded.perm_ids(&op_name, &obj_name) else {
+        let Some((shard_op, shard_obj)) = self.sharded.perm_ids(op_name, obj_name) else {
             panic!(
                 "permission vocabulary differs: {op_name}/{obj_name} [{}]",
                 self.ctx
             );
         };
+        let sess = self.sessions[&session];
         // Sessions come from the driver, so the user owning them is not
         // at hand — resolve the home shard from the handle itself.
-        let shard = session.1.shard;
+        let shard = sess.shard;
         let b0 = self.base.log().len();
         let s0 = self.sharded.with_engine(shard, |e| e.log().len());
-        let base_ok = self
-            .base
-            .check_access(session.0, base_op, base_obj)
-            .unwrap();
+        let base_ok = self.base.check_access(session, base_op, base_obj).unwrap();
         let sharded_ok = self
             .sharded
-            .check_access(session.1, shard_op, shard_obj)
+            .check_access(sess, shard_op, shard_obj)
             .unwrap();
         self.agree(base_ok, sharded_ok);
         let base_delta: Vec<Projected> = self
@@ -312,15 +259,69 @@ impl Driver for Harness {
             self.at, self.ctx
         );
     }
+}
 
-    fn advance(&mut self, secs: u64) {
-        self.base.advance(Dur::from_secs(secs)).unwrap();
-        self.sharded.advance(Dur::from_secs(secs)).unwrap();
+impl Driver for Harness {
+    fn on_step(&mut self, index: usize, step: &Step) {
+        self.at = format!("step {index} ({})", step.describe());
     }
 
-    fn set_context(&mut self, zone: &str) {
-        self.base.set_context("zone", zone).unwrap();
-        self.sharded.set_context("zone", zone).unwrap();
+    fn system(&self) -> &System {
+        self.base.system()
+    }
+
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+        match *op {
+            JournalOp::CreateSession { user, .. } => return self.create_session(user),
+            JournalOp::DeleteSession { user, session } => {
+                let sess = self.sessions[&session];
+                self.routed(
+                    user,
+                    |e| e.delete_session(user, session).is_ok(),
+                    |sh| sh.delete_session(user, sess).is_ok(),
+                );
+            }
+            JournalOp::AddActiveRole {
+                user,
+                session,
+                role,
+            } => {
+                let sess = self.sessions[&session];
+                self.routed(
+                    user,
+                    |e| e.add_active_role(user, session, role).is_ok(),
+                    |sh| sh.add_active_role(user, sess, role).is_ok(),
+                );
+            }
+            JournalOp::DropActiveRole {
+                user,
+                session,
+                role,
+            } => {
+                let sess = self.sessions[&session];
+                self.routed(
+                    user,
+                    |e| e.drop_active_role(user, session, role).is_ok(),
+                    |sh| sh.drop_active_role(user, sess, role).is_ok(),
+                );
+            }
+            JournalOp::CheckAccess {
+                session, op, obj, ..
+            } => self.check_access(session, op, obj),
+            JournalOp::AdvanceTo { to } => {
+                let by = to.since(self.base.now());
+                self.base.advance_to(to).unwrap();
+                self.sharded.advance(by).unwrap();
+            }
+            JournalOp::SetContext {
+                ref key, ref value, ..
+            } => {
+                self.base.set_context(key, value).unwrap();
+                self.sharded.set_context(key, value).unwrap();
+            }
+            ref other => panic!("traces do not produce {other:?}"),
+        }
+        None
     }
 }
 

@@ -1,15 +1,135 @@
 //! Shared by the root suites: the runner every seeded property goes
-//! through, and — for the policy-change suites (`plan_carry_over`,
+//! through, the runner that pushes a generated trace through an engine
+//! ([`drive`]), and — for the policy-change suites (`plan_carry_over`,
 //! `compiled_equivalence`) — a seeded generator of the role-property edits
 //! `policy::regenerate` applies incrementally. Every stream is a
 //! SplitMix64, so a case does not depend on which `rand` is linked.
 
 #![allow(dead_code)] // each suite uses part of this module
 
-use owte_core::SplitMix64;
+use owte_core::{JournalOp, Outcome, SplitMix64};
 use policy::{DailyWindow, PolicyGraph};
-use snoop::Dur;
-use workload::EnterpriseSpec;
+use rbac::{SessionId, System};
+use snoop::{Dur, Ts};
+use workload::enterprise::{role_name, user_name, ZONES};
+use workload::{EnterpriseSpec, Step};
+
+/// Engine adapter for [`drive`]: the runner turns each trace step into a
+/// request, the driver runs it on its engine (or engines, compared
+/// lock-step).
+pub trait Driver {
+    /// Called once per trace step, before the step is resolved. Useful for
+    /// stashing replay context (step index + description) for panic
+    /// messages; the default does nothing.
+    fn on_step(&mut self, _index: usize, _step: &Step) {}
+
+    /// The monitor whose names the steps are resolved against.
+    fn system(&self) -> &System;
+
+    /// Run `op`. Return the session a `CreateSession` opened, `None` if
+    /// the engine refused it (the user then stays session-less) or for
+    /// any other request.
+    fn submit(&mut self, op: &JournalOp) -> Option<SessionId>;
+}
+
+/// The session an answer (`None`: a refusal) reports opened, if any.
+pub fn opened(answer: Option<Outcome>) -> Option<SessionId> {
+    match answer {
+        Some(Outcome::Session(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Whether `answer` (`None`: a refusal) grants the request `op`, for the
+/// suites that tally decisions; `None` for clock and context events,
+/// which decide nothing.
+pub fn granted(op: &JournalOp, answer: Option<Outcome>) -> Option<bool> {
+    match op {
+        JournalOp::AdvanceTo { .. } | JournalOp::SetContext { .. } => None,
+        _ => Some(!matches!(answer, None | Some(Outcome::Access(false)))),
+    }
+}
+
+/// Run `trace` against `driver`, tracking the most recent open session of
+/// each of `users` users and the clock, which starts at `Ts::ZERO`.
+///
+/// Decisions (grant/deny) are the driver's business — a denied request is
+/// still a delivered request. Only *inapplicable* steps are skipped:
+/// session-scoped steps for users without a session, deletes of
+/// never-created sessions, and checks of permissions the policy does not
+/// name. A deleted session is forgotten whatever the engine answers.
+pub fn drive<D: Driver>(driver: &mut D, trace: &[Step], users: usize) {
+    let mut sessions: Vec<Option<SessionId>> = vec![None; users];
+    let mut now = Ts::ZERO;
+    for (i, step) in trace.iter().enumerate() {
+        driver.on_step(i, step);
+        let sys = driver.system();
+        let user = |u: usize| sys.user_by_name(&user_name(u)).expect("trace user");
+        let role = |r: usize| sys.role_by_name(&role_name(r)).expect("trace role");
+        let op = match *step {
+            Step::CreateSession { user: u } => JournalOp::CreateSession {
+                user: user(u),
+                initial: vec![],
+            },
+            Step::DeleteSession { user: u } => {
+                let Some(session) = sessions[u].take() else {
+                    continue;
+                };
+                JournalOp::DeleteSession {
+                    user: user(u),
+                    session,
+                }
+            }
+            Step::AddActiveRole { user: u, role: r } => {
+                let Some(session) = sessions[u] else {
+                    continue;
+                };
+                JournalOp::AddActiveRole {
+                    user: user(u),
+                    session,
+                    role: role(r),
+                }
+            }
+            Step::DropActiveRole { user: u, role: r } => {
+                let Some(session) = sessions[u] else {
+                    continue;
+                };
+                JournalOp::DropActiveRole {
+                    user: user(u),
+                    session,
+                    role: role(r),
+                }
+            }
+            Step::CheckAccess { user: u, op, obj } => {
+                let (Some(session), Ok(op), Ok(obj)) = (
+                    sessions[u],
+                    sys.op_by_name(&format!("op{op}")),
+                    sys.obj_by_name(&format!("obj{obj}")),
+                ) else {
+                    continue;
+                };
+                JournalOp::CheckAccess {
+                    session,
+                    op,
+                    obj,
+                    purpose: -1,
+                }
+            }
+            Step::Advance { secs } => {
+                now += Dur::from_secs(secs);
+                JournalOp::AdvanceTo { to: now }
+            }
+            Step::SetContext { zone } => JournalOp::SetContext {
+                key: "zone".to_string(),
+                value: ZONES[zone].to_string(),
+            },
+        };
+        let opened = driver.submit(&op);
+        if let (Step::CreateSession { user: u }, Some(s)) = (step, opened) {
+            sessions[*u] = Some(s);
+        }
+    }
+}
 
 /// Run the property `name` (the name of the calling `#[test]`) on case
 /// seeds `0..count`, or on the comma-separated seeds in

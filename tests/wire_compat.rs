@@ -7,7 +7,7 @@
 //! strings, so every stored form must read back to the same value, write out
 //! to the same bytes, and a stored engine must carry on from where it was.
 
-use owte_core::{apply_op, DurableConfig, DurableEngine, Engine, FileStorage, JournalOp};
+use owte_core::{replay, DurableConfig, DurableEngine, Engine, FileStorage, JournalOp};
 use policy::{events, PolicyGraph};
 use sentinel::{AuditEntry, AuditKind};
 use snoop::{Detector, Dur, EventExpr, EventId, Occurrence, Params, Ts};
@@ -212,10 +212,8 @@ fn store_written_by_the_previous_commit_recovers_to_the_replayed_state() {
         (before.len() as u64, (before.len() + tail.len()) as u64)
     );
 
-    let mut fresh = Engine::from_policy(&policy(), START).unwrap();
-    for op in before.iter().chain(&tail) {
-        apply_op(&mut fresh, op).expect("the clock only moves forward");
-    }
+    let fresh =
+        replay(&policy(), START, &[before, tail].concat()).expect("the clock only moves forward");
     assert!(
         repl::state_matches(old.engine(), &fresh),
         "snapshot + tail written before ≠ the same history replayed now:\n{}\nvs\n{}",
@@ -264,11 +262,11 @@ fn write_fixture() {
     let mut d = DurableEngine::create(storage, &policy(), START, config).unwrap();
     let (before, tail) = script();
     for op in &before {
-        let _ = d.apply_replicated(op);
+        let _ = d.submit(op);
     }
     d.snapshot_now().unwrap();
     for op in &tail {
-        let _ = d.apply_replicated(op);
+        let _ = d.submit(op);
     }
     println!("fixture written to {}", out.display());
 }
