@@ -78,6 +78,8 @@
 //! `SharedEngine` from durable state); there is no in-place un-poison.
 
 use crate::engine::{Engine, EngineError};
+use crate::journal::{JournalOp, Outcome};
+use crate::privacy::PurposeId;
 use crate::snapshot::AuthSnapshot;
 use parking_lot::{Mutex, RwLock};
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
@@ -326,24 +328,73 @@ impl SharedEngine {
         self.lock()?.role_id(name)
     }
 
+    /// Run one request, like [`Engine::submit`]. A write runs under the
+    /// lock and republishes the snapshot before the lock is released; a
+    /// `CheckAccess` takes the read path of [`SharedEngine::check_access`],
+    /// its purpose included.
+    pub fn submit(&self, request: &JournalOp) -> Result<Outcome, EngineError> {
+        if let JournalOp::CheckAccess {
+            session,
+            op,
+            obj,
+            purpose,
+        } = *request
+        {
+            let purpose = u32::try_from(purpose).ok().map(PurposeId);
+            return self
+                .read(
+                    |snap| snap.grants(session, op, obj, purpose),
+                    |e| Ok(e.submit(request)? == Outcome::Access(true)),
+                )
+                .map(Outcome::Access);
+        }
+        self.write(|e| e.submit(request))
+    }
+
+    /// Run `f` under the lock and republish the snapshot before the lock
+    /// is released, if `f` moved the epoch.
+    fn write<T>(
+        &self,
+        f: impl FnOnce(&mut Engine) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let mut e = self.lock()?;
+        let r = f(&mut e);
+        self.republish_if_stale(&e);
+        r
+    }
+
+    /// The read path of every `checkAccess`: a grant `fast` proves on the
+    /// current snapshot is answered without the lock; anything else runs
+    /// `slow` on the locked engine, after the snapshot is brought up to
+    /// date, so OWTE denial semantics (audit entry + active-security
+    /// feed) are preserved.
+    fn read(
+        &self,
+        fast: impl FnOnce(&AuthSnapshot) -> bool,
+        slow: impl FnOnce(&mut Engine) -> Result<bool, EngineError>,
+    ) -> Result<bool, EngineError> {
+        if self.current_snapshot().is_some_and(|snap| fast(&snap)) {
+            self.inner.fast_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(true);
+        }
+        self.inner.slow_hits.fetch_add(1, Ordering::Relaxed);
+        let mut e = self.lock()?;
+        self.republish_if_stale(&e);
+        slow(&mut e)
+    }
+
     /// See [`Engine::create_session`].
     pub fn create_session(
         &self,
         user: UserId,
         initial: &[RoleId],
     ) -> Result<SessionId, EngineError> {
-        let mut e = self.lock()?;
-        let r = e.create_session(user, initial);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.create_session(user, initial))
     }
 
     /// See [`Engine::delete_session`].
     pub fn delete_session(&self, user: UserId, session: SessionId) -> Result<(), EngineError> {
-        let mut e = self.lock()?;
-        let r = e.delete_session(user, session);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.delete_session(user, session))
     }
 
     /// See [`Engine::add_active_role`].
@@ -353,10 +404,7 @@ impl SharedEngine {
         session: SessionId,
         role: RoleId,
     ) -> Result<(), EngineError> {
-        let mut e = self.lock()?;
-        let r = e.add_active_role(user, session, role);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.add_active_role(user, session, role))
     }
 
     /// See [`Engine::drop_active_role`].
@@ -366,35 +414,25 @@ impl SharedEngine {
         session: SessionId,
         role: RoleId,
     ) -> Result<(), EngineError> {
-        let mut e = self.lock()?;
-        let r = e.drop_active_role(user, session, role);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.drop_active_role(user, session, role))
     }
 
     /// See [`Engine::check_access`]. Grants are answered from the
     /// published snapshot when possible (no lock); everything else takes
-    /// the locked path so OWTE denial semantics (audit entry +
-    /// active-security feed) are preserved.
+    /// the locked path.
     pub fn check_access(
         &self,
         session: SessionId,
         op: OpId,
         obj: ObjId,
     ) -> Result<bool, EngineError> {
-        if let Some(snap) = self.current_snapshot() {
-            if snap.grants(session, op, obj, None) {
-                self.inner.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(true);
-            }
-        }
-        self.inner.slow_hits.fetch_add(1, Ordering::Relaxed);
-        let mut e = self.lock()?;
-        self.republish_if_stale(&e);
-        e.check_access(session, op, obj)
+        self.read(
+            |snap| snap.grants(session, op, obj, None),
+            |e| e.check_access(session, op, obj),
+        )
     }
 
-    /// See [`Engine::check_access_for_purpose`]; same fast path as
+    /// See [`Engine::check_access_for_purpose`]; same read path as
     /// [`SharedEngine::check_access`].
     pub fn check_access_for_purpose(
         &self,
@@ -403,18 +441,13 @@ impl SharedEngine {
         obj: ObjId,
         purpose: &str,
     ) -> Result<bool, EngineError> {
-        if let Some(snap) = self.current_snapshot() {
-            if let Some(pid) = snap.purpose_by_name(purpose) {
-                if snap.grants(session, op, obj, Some(pid)) {
-                    self.inner.fast_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(true);
-                }
-            }
-        }
-        self.inner.slow_hits.fetch_add(1, Ordering::Relaxed);
-        let mut e = self.lock()?;
-        self.republish_if_stale(&e);
-        e.check_access_for_purpose(session, op, obj, purpose)
+        self.read(
+            |snap| {
+                snap.purpose_by_name(purpose)
+                    .is_some_and(|pid| snap.grants(session, op, obj, Some(pid)))
+            },
+            |e| e.check_access_for_purpose(session, op, obj, purpose),
+        )
     }
 
     /// `checkAccess` at a future logical time `t`: answered from the
@@ -430,35 +463,26 @@ impl SharedEngine {
         op: OpId,
         obj: ObjId,
     ) -> Result<bool, EngineError> {
-        if let Some(snap) = self.current_snapshot() {
-            if snap.answers_at(t) && snap.grants(session, op, obj, None) {
-                self.inner.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(true);
-            }
-        }
-        self.inner.slow_hits.fetch_add(1, Ordering::Relaxed);
-        let mut e = self.lock()?;
-        if t > e.now() {
-            e.advance_to(t)?;
-        }
-        self.republish_if_stale(&e);
-        e.check_access(session, op, obj)
+        self.read(
+            |snap| snap.answers_at(t) && snap.grants(session, op, obj, None),
+            |e| {
+                if t > e.now() {
+                    e.advance_to(t)?;
+                    self.republish_if_stale(e);
+                }
+                e.check_access(session, op, obj)
+            },
+        )
     }
 
     /// See [`Engine::set_context`].
     pub fn set_context(&self, key: &str, value: &str) -> Result<ExecReport, EngineError> {
-        let mut e = self.lock()?;
-        let r = e.set_context(key, value);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.set_context(key, value))
     }
 
     /// See [`Engine::advance`].
     pub fn advance(&self, d: Dur) -> Result<ExecReport, EngineError> {
-        let mut e = self.lock()?;
-        let r = e.advance(d);
-        self.republish_if_stale(&e);
-        r
+        self.write(|e| e.advance(d))
     }
 
     /// Current logical time.
@@ -580,6 +604,99 @@ mod tests {
             "stale snapshot must not leak a grant"
         );
         assert_eq!(engine.denial_count(), 1, "denial went through the lock");
+    }
+
+    /// `op` through [`SharedEngine::submit`] on `a` and through
+    /// [`Engine::submit`] on `b`: the answers and the states after agree.
+    fn same(a: &SharedEngine, b: &mut Engine, op: &JournalOp) -> Result<Outcome, EngineError> {
+        let answer = a.submit(op);
+        assert_eq!(answer, b.submit(op), "{op:?}");
+        a.with(|a| assert_eq!(crate::state_diff(a, b), None, "{op:?}"));
+        answer
+    }
+
+    /// Every request variant answers the same and leaves the same state
+    /// through the handle as through a plain engine; a denied check takes
+    /// the locked path, a granted one is served from the snapshot.
+    #[test]
+    fn submit_equals_the_named_methods() {
+        let mut g = PolicyGraph::enterprise_xyz();
+        g.user("alice");
+        g.user("bob");
+        g.assign("alice", "PM");
+        g.assign("bob", "AC");
+        let a = SharedEngine::new(Engine::from_policy(&g, Ts::ZERO).unwrap());
+        let b = &mut Engine::from_policy(&g, Ts::ZERO).unwrap();
+        let (alice, bob) = (b.user_id("alice").unwrap(), b.user_id("bob").unwrap());
+        let [pm, pc, clerk] = ["PM", "PC", "Clerk"].map(|r| b.role_id(r).unwrap());
+        let op = b.system().op_by_name("create").unwrap();
+        let obj = b.system().obj_by_name("purchase_order").unwrap();
+        let (s, t) = (SessionId(0), SessionId(1));
+        let check = |session| JournalOp::CheckAccess {
+            session,
+            op,
+            obj,
+            purpose: -1,
+        };
+        let activate = |role| JournalOp::AddActiveRole {
+            user: alice,
+            session: s,
+            role,
+        };
+        let deactivate = |role| JournalOp::DropActiveRole {
+            user: alice,
+            session: s,
+            role,
+        };
+        let assign = |role| JournalOp::AssignUser { user: bob, role };
+        let open = |user, initial| JournalOp::CreateSession { user, initial };
+        let raw = JournalOp::RawEvent {
+            event: "no_such_event".into(),
+            params: snoop::Params::new(),
+        };
+        let context = JournalOp::SetContext {
+            key: "zone".into(),
+            value: "z1".into(),
+        };
+        let advance = |secs| JournalOp::AdvanceTo {
+            to: Ts::from_secs(secs),
+        };
+        let answers = [
+            open(alice, vec![pm]),
+            open(bob, vec![]),
+            activate(pc),
+            activate(pc),
+            raw,
+            deactivate(pc),
+            assign(clerk),
+            assign(pc),
+            JournalOp::DeassignUser {
+                user: bob,
+                role: clerk,
+            },
+            JournalOp::DisableRole { role: clerk },
+            JournalOp::EnableRole { role: clerk },
+            context,
+            advance(3600),
+            advance(60),
+        ]
+        .map(|op| same(&a, b, &op));
+        assert!(answers.iter().any(Result::is_ok) && answers.iter().any(Result::is_err));
+
+        let ((fast, slow), denials) = (a.read_stats(), a.denial_count());
+        assert_eq!(same(&a, b, &check(t)), Ok(Outcome::Access(false)));
+        assert_eq!(a.read_stats(), (fast, slow + 1));
+        assert_eq!(a.denial_count(), denials + 1);
+        // A grant from the snapshot skips the audit entries a locked grant
+        // appends, so the plain engine answers it on a copy.
+        assert_eq!(a.submit(&check(s)), b.clone().submit(&check(s)));
+        assert_eq!(a.read_stats(), (fast + 1, slow + 1));
+        a.with(|a| assert_eq!(crate::state_diff(a, b), None));
+        let close = JournalOp::DeleteSession {
+            user: alice,
+            session: s,
+        };
+        assert_eq!(same(&a, b, &close), Ok(Outcome::Done));
     }
 
     #[test]

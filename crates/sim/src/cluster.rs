@@ -29,7 +29,6 @@
 
 use crate::explore::{Budget, Checker, SimWorld, Stats};
 use crate::invariants::{Invariants, Violation};
-use crate::op::SimOp;
 use crate::world::{apply_client_op, hash_engine, Fnv, StepError};
 use owte_core::{checked_index, replay, state_diff};
 use policy::PolicyGraph;
@@ -39,6 +38,7 @@ use snoop::Ts;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use workload::{Client, Step};
 
 /// One scheduler decision over a replication group. Slot indices address
 /// the transport's in-flight queue (oldest first) at the moment the
@@ -130,9 +130,9 @@ pub struct ReadRecord {
 pub struct ClusterWorld {
     cluster: Cluster,
     graph: Rc<PolicyGraph>,
-    ops: Rc<Vec<SimOp>>,
+    ops: Rc<Vec<Step>>,
     cursor: usize,
-    sessions: Vec<Option<SessionId>>,
+    client: Client,
     crashes: usize,
     /// The read performed by the immediately preceding step, if any —
     /// the staleness invariant runs exactly then.
@@ -149,7 +149,7 @@ impl ClusterWorld {
     pub fn new(
         graph: &PolicyGraph,
         n: usize,
-        ops: Vec<SimOp>,
+        ops: Vec<Step>,
         config: ReplConfig,
     ) -> Result<ClusterWorld, String> {
         let cluster =
@@ -163,7 +163,7 @@ impl ClusterWorld {
             graph: Rc::new(graph.clone()),
             ops: Rc::new(ops),
             cursor: 0,
-            sessions: vec![None; graph.users.len()],
+            client: Client::new(graph.users.len()),
             crashes: 0,
             last_read: None,
             read_target,
@@ -176,20 +176,9 @@ impl ClusterWorld {
         &self.cluster
     }
 
-    /// The replication group, mutable (tests install scripted faults and
-    /// partitions through this).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
     /// The policy graph the group was built from.
     pub fn graph(&self) -> &PolicyGraph {
         &self.graph
-    }
-
-    /// Index of the next client operation.
-    pub fn cursor(&self) -> usize {
-        self.cursor
     }
 
     /// The read performed by the immediately preceding step, if any.
@@ -206,7 +195,7 @@ impl ClusterWorld {
     /// First live session handle and the read target, if both exist —
     /// what a [`NetChoice::Read`] asks about.
     fn read_query(&self) -> Option<(SessionId, &str, &str)> {
-        let s = self.sessions.iter().flatten().next().copied()?;
+        let s = self.client.sessions().iter().flatten().next().copied()?;
         let (op, obj) = self.read_target.as_ref()?;
         Some((s, op, obj))
     }
@@ -294,11 +283,11 @@ impl SimWorld for ClusterWorld {
                 let Some(op) = self.ops.get(self.cursor).cloned() else {
                     return Err(Self::not_enabled(choice));
                 };
-                let sessions = &mut self.sessions;
+                let client = &mut self.client;
                 if self
                     .cluster
                     .with_leader(|d| {
-                        apply_client_op(d, sessions, &op);
+                        apply_client_op(d, client, &op);
                     })
                     .is_err()
                 {
@@ -436,7 +425,7 @@ impl SimWorld for ClusterWorld {
         let mut h = Fnv::new();
         h.u64(self.cursor as u64);
         h.u64(self.crashes as u64);
-        for s in &self.sessions {
+        for s in self.client.sessions() {
             match s {
                 Some(sid) => h.str(&format!("S{sid}")),
                 None => h.str("-"),

@@ -476,7 +476,7 @@ impl SimWorld for World {
             return vec![Choice::Restart];
         }
         let mut out = Vec::new();
-        let ops_left = self.cursor() < self.ops().len();
+        let ops_left = self.ops_left();
         if ops_left {
             out.push(Choice::NextOp);
         }

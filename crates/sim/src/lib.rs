@@ -45,7 +45,6 @@
 pub mod cluster;
 pub mod explore;
 pub mod invariants;
-pub mod op;
 pub mod shard;
 pub mod world;
 
@@ -56,12 +55,11 @@ pub use explore::{
     Strategy,
 };
 pub use invariants::{Invariants, Violation};
-pub use op::SimOp;
 pub use world::{apply_client_op, Choice, SimStore, World};
 
 use owte_core::DurableConfig;
 use policy::{DailyWindow, PolicyGraph};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
 
 /// Everything one checking run needs: the enterprise and workload to
 /// simulate (by spec + seed, so any report is replayable), the durable
@@ -94,9 +92,8 @@ pub struct CheckConfig {
 pub fn check(cfg: &CheckConfig) -> CheckReport {
     let graph = generate_enterprise(&cfg.enterprise, cfg.ent_seed);
     let trace = generate_trace(&cfg.trace, cfg.trace_seed);
-    let ops = op::from_trace(&trace);
     let world =
-        World::new(&graph, ops, cfg.durable.clone()).expect("generated policy instantiates");
+        World::new(&graph, trace, cfg.durable.clone()).expect("generated policy instantiates");
     let invariants = Invariants::from_reference(&graph);
     let outcome = explore(
         &world,
@@ -112,7 +109,7 @@ pub fn check(cfg: &CheckConfig) -> CheckReport {
 /// DSD pair, a GTRBAC daily enabling window on `clerk`, a per-role
 /// activation cap, and one guarded permission.
 ///
-/// `u0` is assigned `clerk` + `billing`; `u1` is assigned `clerk` +
+/// `user0` is assigned `clerk` + `billing`; `user1` is assigned `clerk` +
 /// `auditing`. Any state in which one user holds both `billing` and
 /// `auditing` is an SSD violation the checker must flag.
 pub fn tiny_enterprise() -> PolicyGraph {
@@ -142,30 +139,30 @@ pub fn tiny_enterprise() -> PolicyGraph {
 /// A short client script over [`tiny_enterprise`] touching sessions,
 /// activation, an SSD-violating assignment attempt, access checks and
 /// virtual time (so GTRBAC window timers are pending throughout).
-pub fn tiny_ops() -> Vec<SimOp> {
+pub fn tiny_ops() -> Vec<Step> {
     vec![
-        SimOp::CreateSession { user: 0 },
-        SimOp::CreateSession { user: 1 },
-        SimOp::AddActiveRole {
+        Step::CreateSession { user: 0 },
+        Step::CreateSession { user: 1 },
+        Step::AddActiveRole {
             user: 0,
             role: "clerk".into(),
         },
-        // u1 tries to pick up `billing` while assigned `auditing`: the
+        // user1 tries to pick up `billing` while assigned `auditing`: the
         // monitor must refuse (SSD), in every interleaving, crash or not.
-        SimOp::AssignUser {
+        Step::AssignUser {
             user: 1,
             role: "billing".into(),
         },
-        SimOp::CheckAccess {
+        Step::CheckAccess {
             user: 0,
             op: "write".into(),
             obj: "claims".into(),
         },
-        SimOp::AddActiveRole {
+        Step::AddActiveRole {
             user: 1,
             role: "auditing".into(),
         },
-        SimOp::DeleteSession { user: 1 },
+        Step::DeleteSession { user: 1 },
     ]
 }
 

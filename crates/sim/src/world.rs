@@ -2,16 +2,15 @@
 //! everything the scheduler needs to fork, crash, restart and compare
 //! worlds.
 
-use crate::op::SimOp;
 use owte_core::{
     DurableConfig, DurableEngine, Engine, FaultKind, FaultPlan, FaultyStorage, JournalOp,
-    MemStorage, Outcome, ScriptedFault,
+    MemStorage, ScriptedFault,
 };
 use policy::PolicyGraph;
-use rbac::SessionId;
-use snoop::{Dur, Ts};
+use snoop::Ts;
 use std::fmt;
 use std::rc::Rc;
+use workload::{Client, Step};
 
 /// The storage stack every simulated process runs on: deterministic
 /// fault injection over a crashable in-memory disk.
@@ -85,9 +84,9 @@ enum Node {
 #[derive(Clone)]
 pub struct World {
     node: Node,
-    ops: Rc<Vec<SimOp>>,
+    ops: Rc<Vec<Step>>,
     cursor: usize,
-    sessions: Vec<Option<SessionId>>,
+    client: Client,
     acked: Vec<JournalOp>,
     interpreted: Engine,
     crashes: usize,
@@ -105,7 +104,7 @@ impl World {
     /// acknowledged op as it is acknowledged.
     pub fn new(
         graph: &PolicyGraph,
-        ops: Vec<SimOp>,
+        ops: Vec<Step>,
         config: DurableConfig,
     ) -> Result<World, String> {
         let storage = FaultyStorage::new(MemStorage::new(), 0, FaultPlan::default());
@@ -114,12 +113,11 @@ impl World {
         let cascade_bound = engine.engine().analyze().max_sync_depth;
         let interpreted = Engine::interpreted(graph, Ts::ZERO)
             .map_err(|e| format!("reference interpreter failed: {e}"))?;
-        let users = graph.users.len();
         Ok(World {
             node: Node::Running(Box::new(engine)),
             ops: Rc::new(ops),
             cursor: 0,
-            sessions: vec![None; users],
+            client: Client::new(graph.users.len()),
             acked: Vec::new(),
             interpreted,
             crashes: 0,
@@ -198,14 +196,9 @@ impl World {
         &self.schedule
     }
 
-    /// Index of the next client operation.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// The full client script.
-    pub fn ops(&self) -> &[SimOp] {
-        &self.ops
+    /// Is a step of the client script left to run?
+    pub fn ops_left(&self) -> bool {
+        self.cursor < self.ops.len()
     }
 
     /// Human-readable description of what `choice` would do here.
@@ -238,24 +231,10 @@ impl World {
             return 0;
         };
         let mut clone = d.clone();
-        let mut sessions = self.sessions.clone();
+        let mut client = self.client.clone();
         let before = clone.storage().ops();
-        let _ = apply_client_op(&mut clone, &mut sessions, op);
+        let _ = apply_client_op(&mut clone, &mut client, op);
         clone.storage().ops() - before
-    }
-
-    /// Digest of what the disk would hold if the process power-failed
-    /// right now (synced bytes only). `None` while crashed. Diagnostic:
-    /// two worlds whose crash digests agree recover identically.
-    pub fn crash_digest(&self) -> Option<u64> {
-        match &self.node {
-            Node::Running(d) => {
-                let mut mem = d.storage().inner().clone();
-                mem.crash();
-                Some(mem.state_digest())
-            }
-            Node::Crashed(_) => None,
-        }
     }
 
     /// Apply one scheduler choice, transforming this world into its
@@ -270,7 +249,7 @@ impl World {
                 let Some(op) = self.ops.get(self.cursor) else {
                     return Err(StepError::NotEnabled(choice.clone()));
                 };
-                if let Some(j) = apply_client_op(d, &mut self.sessions, op) {
+                if let Some(j) = apply_client_op(d, &mut self.client, op) {
                     self.ack(j);
                 }
                 self.cursor += 1;
@@ -287,7 +266,7 @@ impl World {
                     at: base + at,
                     kind: FaultKind::Kill { keep: *keep },
                 });
-                if let Some(j) = apply_client_op(d, &mut self.sessions, op) {
+                if let Some(j) = apply_client_op(d, &mut self.client, op) {
                     // The journal append (and its sync) beat the kill
                     // point: the op is acknowledged even though the
                     // client saw an error from a later storage op.
@@ -357,9 +336,7 @@ impl World {
         self.node = Node::Crashed(mem);
         self.crashes += 1;
         // Session handles do not survive the process.
-        for s in &mut self.sessions {
-            *s = None;
-        }
+        self.client = Client::new(self.client.sessions().len());
     }
 
     /// An order-independent fingerprint of everything observable about
@@ -371,7 +348,7 @@ impl World {
         let mut h = Fnv::new();
         h.u64(self.cursor as u64);
         h.u64(self.acked.len() as u64);
-        for s in &self.sessions {
+        for s in self.client.sessions() {
             match s {
                 Some(sid) => h.str(&format!("S{sid}")),
                 None => h.str("-"),
@@ -441,76 +418,21 @@ pub(crate) fn hash_engine(h: &mut Fnv, e: &owte_core::Engine) {
     }
 }
 
-/// Run one client op against a live engine, returning the journal record
-/// to add to the acknowledged ledger if the engine acknowledged it (the
-/// op counter moved), regardless of the client-visible result. Unknown
-/// names and missing sessions make the op a silent no-op, mirroring the
-/// trace drivers of the root suites. Shared with the cluster world (whose
-/// leader runs the identical storage stack) and the replication
-/// integration tests.
+/// Run one script step against a live engine, returning the journal
+/// record to add to the acknowledged ledger if the engine acknowledged it
+/// (the op counter moved), regardless of the client-visible result. A
+/// step the client skips (unknown name, no session) is a silent no-op.
+/// Shared with the cluster world (whose leader runs the identical storage
+/// stack) and the replication integration tests.
 pub fn apply_client_op(
     d: &mut DurableEngine<SimStore>,
-    sessions: &mut [Option<SessionId>],
-    op: &SimOp,
+    client: &mut Client,
+    step: &Step,
 ) -> Option<JournalOp> {
-    let request = resolve(d.engine(), sessions, op)?;
+    let request = client.resolve(step, d.engine().system(), d.engine().now())?;
     let before = d.op_count();
-    let outcome = d.submit(&request);
-    if let (SimOp::CreateSession { user }, Ok(Outcome::Session(s))) = (op, outcome) {
-        sessions[*user] = Some(s);
-    }
+    client.record(step, d.submit(&request).ok());
     (d.op_count() > before).then_some(request)
-}
-
-/// The request `op` stands for against `e`'s names and the tracked
-/// `sessions`, or `None` when a name or the session is missing. A delete
-/// forgets the tracked session either way.
-fn resolve(e: &Engine, sessions: &mut [Option<SessionId>], op: &SimOp) -> Option<JournalOp> {
-    let user = |i: usize| e.user_id(&workload::enterprise::user_name(i)).ok();
-    Some(match op {
-        SimOp::CreateSession { user: i } => JournalOp::CreateSession {
-            user: user(*i)?,
-            initial: vec![],
-        },
-        SimOp::DeleteSession { user: i } => {
-            let session = sessions[*i].take()?;
-            JournalOp::DeleteSession {
-                user: user(*i)?,
-                session,
-            }
-        }
-        SimOp::AddActiveRole { user: i, role } => JournalOp::AddActiveRole {
-            session: sessions[*i]?,
-            user: user(*i)?,
-            role: e.role_id(role).ok()?,
-        },
-        SimOp::DropActiveRole { user: i, role } => JournalOp::DropActiveRole {
-            session: sessions[*i]?,
-            user: user(*i)?,
-            role: e.role_id(role).ok()?,
-        },
-        SimOp::CheckAccess { user: i, op, obj } => JournalOp::CheckAccess {
-            session: sessions[*i]?,
-            op: e.system().op_by_name(op).ok()?,
-            obj: e.system().obj_by_name(obj).ok()?,
-            purpose: -1,
-        },
-        SimOp::AssignUser { user: i, role } => JournalOp::AssignUser {
-            user: user(*i)?,
-            role: e.role_id(role).ok()?,
-        },
-        SimOp::DeassignUser { user: i, role } => JournalOp::DeassignUser {
-            user: user(*i)?,
-            role: e.role_id(role).ok()?,
-        },
-        SimOp::Advance { secs } => JournalOp::AdvanceTo {
-            to: e.now() + Dur::from_secs(*secs),
-        },
-        SimOp::SetContext { key, value } => JournalOp::SetContext {
-            key: key.clone(),
-            value: value.clone(),
-        },
-    })
 }
 
 /// FNV-1a, built up from strings and integers. Shared by every world's

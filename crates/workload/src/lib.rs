@@ -1,13 +1,16 @@
 //! # workload — seeded generators for the evaluation
 //!
-//! Parametric enterprises (policy graphs) and event traces, deterministic
-//! by seed; used by the benchmarks (E2–E7), the equivalence property tests
-//! and the examples.
+//! Parametric enterprises (policy graphs) and client scripts, deterministic
+//! by seed, and the [`Client`] that turns a script step into the request an
+//! engine runs; used by the benchmarks (E2–E7), the equivalence property
+//! tests, the simulator and the examples.
 
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod enterprise;
 pub mod trace;
 
+pub use client::Client;
 pub use enterprise::{generate as generate_enterprise, EnterpriseSpec};
 pub use trace::{generate as generate_trace, Step, TraceSpec};

@@ -1,14 +1,16 @@
 //! Seeded event-trace generation: streams of sessions, activations,
-//! deactivations and access requests to drive both engines identically.
+//! deactivations and access requests to drive every engine identically.
 
-use crate::enterprise::{role_name, user_name};
+use crate::enterprise::{role_name, user_name, ZONES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// One step of a workload trace (entities by index into the generating
-/// spec, resolved to ids by the harness).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One step of a client script. Users are named by index
+/// ([`user_name`]), so a script stays valid across crash/restart cycles;
+/// roles, operations and objects by name. [`crate::Client`] resolves a
+/// step to the request it stands for.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
     /// `user` opens a session.
     CreateSession {
@@ -24,68 +26,68 @@ pub enum Step {
     AddActiveRole {
         /// User index.
         user: usize,
-        /// Role index.
-        role: usize,
+        /// Role name.
+        role: String,
     },
-    /// `user` deactivates `role`.
+    /// `user` deactivates `role` in their most recent session.
     DropActiveRole {
         /// User index.
         user: usize,
-        /// Role index.
-        role: usize,
+        /// Role name.
+        role: String,
     },
     /// `user`'s most recent session asks for (op, obj).
     CheckAccess {
         /// User index.
         user: usize,
-        /// Operation index (mod 8, matching the enterprise generator).
-        op: usize,
-        /// Object index.
-        obj: usize,
+        /// Operation name.
+        op: String,
+        /// Object name.
+        obj: String,
+    },
+    /// Administrative `AssignUser(user, role)`.
+    AssignUser {
+        /// User index.
+        user: usize,
+        /// Role name.
+        role: String,
+    },
+    /// Administrative `DeassignUser(user, role)`.
+    DeassignUser {
+        /// User index.
+        user: usize,
+        /// Role name.
+        role: String,
     },
     /// Advance logical time by `secs` seconds.
     Advance {
         /// Seconds to advance.
         secs: u64,
     },
-    /// An external context event: set `zone` to `ZONES[zone]`.
+    /// An external context event: set `key` to `value`.
     SetContext {
-        /// Index into [`crate::enterprise::ZONES`].
-        zone: usize,
+        /// Context key.
+        key: String,
+        /// Context value.
+        value: String,
     },
 }
 
-impl Step {
-    /// The user index this step concerns, if any.
-    pub fn user(&self) -> Option<usize> {
+impl fmt::Display for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let who = |user: &usize| user_name(*user);
         match self {
-            Step::CreateSession { user }
-            | Step::DeleteSession { user }
-            | Step::AddActiveRole { user, .. }
-            | Step::DropActiveRole { user, .. }
-            | Step::CheckAccess { user, .. } => Some(*user),
-            Step::Advance { .. } | Step::SetContext { .. } => None,
-        }
-    }
-
-    /// Human-readable form using the enterprise naming convention.
-    pub fn describe(&self) -> String {
-        match self {
-            Step::CreateSession { user } => format!("{} opens a session", user_name(*user)),
-            Step::DeleteSession { user } => format!("{} closes a session", user_name(*user)),
-            Step::AddActiveRole { user, role } => {
-                format!("{} activates {}", user_name(*user), role_name(*role))
-            }
-            Step::DropActiveRole { user, role } => {
-                format!("{} deactivates {}", user_name(*user), role_name(*role))
-            }
+            Step::CreateSession { user } => write!(f, "{} opens a session", who(user)),
+            Step::DeleteSession { user } => write!(f, "{} closes a session", who(user)),
+            Step::AddActiveRole { user, role } => write!(f, "{} activates {role}", who(user)),
+            Step::DropActiveRole { user, role } => write!(f, "{} deactivates {role}", who(user)),
             Step::CheckAccess { user, op, obj } => {
-                format!("{} requests op{} on obj{}", user_name(*user), op, obj)
+                write!(f, "{} requests {op} on {obj}", who(user))
             }
-            Step::Advance { secs } => format!("advance {secs}s"),
-            Step::SetContext { zone } => {
-                format!("context zone = {}", crate::enterprise::ZONES[*zone])
-            }
+            Step::AssignUser { user, role } => write!(f, "{} is assigned {role}", who(user)),
+            Step::DeassignUser { user, role } => write!(f, "{} is deassigned {role}", who(user)),
+            Step::Advance { secs } => write!(f, "advance {secs}s"),
+            Step::SetContext { key, value } => write!(f, "context {key} = {value}"),
         }
     }
 }
@@ -135,7 +137,9 @@ impl Default for TraceSpec {
     }
 }
 
-/// Generate a trace from the spec and seed.
+/// Generate a trace from the spec and seed, named after the enterprise
+/// generator's conventions: `role{i}`, `op{i}` (i < 8), `obj{i}` and the
+/// `zone` key over [`ZONES`].
 pub fn generate(spec: &TraceSpec, seed: u64) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let total = spec.w_session
@@ -153,14 +157,20 @@ pub fn generate(spec: &TraceSpec, seed: u64) -> Vec<Step> {
         let step = if pick < spec.w_session {
             Step::CreateSession { user }
         } else if pick < spec.w_session + spec.w_activate {
-            Step::AddActiveRole { user, role }
+            Step::AddActiveRole {
+                user,
+                role: role_name(role),
+            }
         } else if pick < spec.w_session + spec.w_activate + spec.w_drop {
-            Step::DropActiveRole { user, role }
+            Step::DropActiveRole {
+                user,
+                role: role_name(role),
+            }
         } else if pick < spec.w_session + spec.w_activate + spec.w_drop + spec.w_access {
             Step::CheckAccess {
                 user,
-                op: rng.gen_range(0..8),
-                obj: rng.gen_range(0..spec.objects.max(1)),
+                op: format!("op{}", rng.gen_range(0..8usize)),
+                obj: format!("obj{}", rng.gen_range(0..spec.objects.max(1))),
             }
         } else if pick
             < spec.w_session + spec.w_activate + spec.w_drop + spec.w_access + spec.w_advance
@@ -170,7 +180,8 @@ pub fn generate(spec: &TraceSpec, seed: u64) -> Vec<Step> {
             }
         } else {
             Step::SetContext {
-                zone: rng.gen_range(0..crate::enterprise::ZONES.len()),
+                key: "zone".to_string(),
+                value: ZONES[rng.gen_range(0..ZONES.len())].to_string(),
             }
         };
         out.push(step);
@@ -207,11 +218,60 @@ mod tests {
         assert!(t.iter().all(|s| matches!(s, Step::AddActiveRole { .. })));
     }
 
+    /// The stream every seeded suite draws from: the first steps of one
+    /// trace, as text. A change to the generator's draws or naming moves
+    /// every suite's floors, and shows here first.
     #[test]
-    fn describe_is_readable() {
-        let s = Step::AddActiveRole { user: 2, role: 3 };
-        assert_eq!(s.describe(), "user2 activates role3");
-        assert_eq!(s.user(), Some(2));
-        assert_eq!(Step::Advance { secs: 5 }.user(), None);
+    fn generated_stream_is_pinned() {
+        let spec = TraceSpec {
+            w_context: 5,
+            ..TraceSpec::default()
+        };
+        let text: Vec<String> = generate(&spec, 5)[..40]
+            .iter()
+            .map(Step::to_string)
+            .collect();
+        let expected = "\
+user28 requests op6 on obj51
+user78 requests op2 on obj38
+user99 activates role12
+user74 requests op5 on obj82
+user48 activates role35
+user44 requests op4 on obj86
+user17 requests op6 on obj67
+user34 deactivates role38
+user56 activates role29
+user63 requests op2 on obj59
+context zone = z0
+advance 1386s
+user56 activates role1
+user57 requests op4 on obj42
+user22 deactivates role41
+user55 deactivates role3
+user39 requests op6 on obj59
+user99 activates role38
+user32 activates role49
+user93 requests op7 on obj1
+user1 activates role49
+user55 activates role27
+user41 activates role5
+user30 requests op6 on obj8
+user57 requests op3 on obj33
+user17 requests op5 on obj0
+user95 requests op6 on obj86
+user98 activates role16
+user17 deactivates role15
+user48 activates role21
+user97 requests op5 on obj73
+user44 requests op0 on obj13
+user43 activates role3
+user10 activates role9
+user25 activates role43
+user24 requests op5 on obj79
+user81 activates role37
+user14 requests op1 on obj44
+user76 opens a session
+user30 opens a session";
+        assert_eq!(text.join("\n"), expected);
     }
 }

@@ -13,7 +13,8 @@
 //! an acceptance check.
 
 use repl::{state_matches, Cluster, NetFaultPlan, NodeId, ReadOutcome, ReplConfig};
-use sim::{apply_client_op, tiny_enterprise, SimOp};
+use sim::{apply_client_op, tiny_enterprise};
+use workload::{Client, Step};
 
 fn converged(c: &Cluster) -> bool {
     let li = c.leader().expect("leader up");
@@ -40,24 +41,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ReplConfig::default()
     };
     let mut c = Cluster::new(&graph, 3, config)?;
-    let mut sessions: Vec<Option<rbac::SessionId>> = vec![None; 2];
+    let mut client = Client::new(2);
 
     println!("== 3-node cluster, leader n0, term {} ==", c.term());
 
     // Client traffic: move into the clerk window, open a session,
     // activate the role.
     let script = [
-        SimOp::Advance { secs: 10 * 3600 }, // 10:00, inside clerk's window
-        SimOp::CreateSession { user: 0 },
-        SimOp::AddActiveRole {
+        Step::Advance { secs: 10 * 3600 }, // 10:00, inside clerk's window
+        Step::CreateSession { user: 0 },
+        Step::AddActiveRole {
             user: 0,
             role: "clerk".into(),
         },
     ];
-    for op in &script {
-        let op = op.clone();
+    for step in &script {
         c.with_leader(|d| {
-            apply_client_op(d, &mut sessions, &op);
+            apply_client_op(d, &mut client, step);
         })?;
     }
     let delivered = c.settle();
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(converged(&c), "followers converged to the leader");
 
     // Followers answer authorization queries from their snapshots.
-    let s = sessions[0].expect("session created");
+    let s = client.sessions()[0].expect("session created");
     let (w, claims) = {
         let sys = c.node_engine(0).unwrap().engine().system();
         (sys.op_by_name("write")?, sys.obj_by_name("claims")?)
@@ -91,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     c.with_leader(|d| {
         apply_client_op(
             d,
-            &mut sessions,
-            &SimOp::CheckAccess {
+            &mut client,
+            &Step::CheckAccess {
                 user: 0,
                 op: "write".into(),
                 obj: "claims".into(),
@@ -128,11 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         c.check_access_via(2, s, w, claims)?,
         "session survives failover"
     );
-    println!("session s{} still authorized through the new leader", {
-        use rbac::SessionId;
-        let SessionId(raw) = s;
-        raw
-    });
+    println!("session {s} still authorized through the new leader");
 
     // The fenced old leader rejoins as a follower.
     c.restart(0)?;

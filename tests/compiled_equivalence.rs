@@ -17,9 +17,8 @@
 
 mod support;
 
-use owte_core::{Engine, JournalOp, SplitMix64};
+use owte_core::{Engine, JournalOp, Outcome, SplitMix64};
 use policy::PolicyGraph;
-use rbac::{SessionId, System};
 use snoop::Ts;
 use support::{drive, Driver};
 use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
@@ -147,7 +146,7 @@ impl Harness {
 
 impl Driver for Harness {
     fn on_step(&mut self, index: usize, step: &Step) {
-        self.at = format!("step {index} ({})", step.describe());
+        self.at = format!("step {index} ({step})");
         if self
             .change_every
             .is_some_and(|every| index % every == every - 1)
@@ -156,13 +155,13 @@ impl Driver for Harness {
         }
     }
 
-    fn system(&self) -> &System {
-        self.compiled.system()
+    fn engine(&self) -> &Engine {
+        &self.compiled
     }
 
     /// Both engines answer alike — outcome, session id, or a refusal.
     /// Requests, not clock or context events, are tallied.
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome> {
         let a = self.compiled.submit(op).ok();
         let b = self.interp.submit(op).ok();
         assert_eq!(
@@ -181,7 +180,7 @@ impl Driver for Harness {
                 self.seen.granted_since += 1;
             }
         }
-        support::opened(a)
+        a
     }
 }
 

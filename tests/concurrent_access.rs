@@ -74,23 +74,32 @@ fn readers_race_one_mutator_equivalently() {
     let (create, po) = op_obj(&engine);
 
     const ROUNDS: usize = 200;
+    const READERS: usize = 4;
     let stop = Arc::new(AtomicBool::new(false));
+    // Every reader is running before the first write, and reads at least
+    // once, however the threads are scheduled.
+    let start = Arc::new(Barrier::new(READERS + 1));
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let e = engine.clone();
-        let stop = stop.clone();
+        let (stop, start) = (stop.clone(), start.clone());
         readers.push(thread::spawn(move || {
             let mut grants = 0usize;
             let mut checks = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            start.wait();
+            loop {
                 if e.check_access(s, create, po).unwrap() {
                     grants += 1;
                 }
                 checks += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             (grants, checks)
         }));
     }
+    start.wait();
     for _ in 0..ROUNDS {
         engine.drop_active_role(alice, s, pm).unwrap();
         engine.add_active_role(alice, s, pm).unwrap();

@@ -15,10 +15,10 @@
 mod support;
 
 use owte_core::{
-    replay, state_diff, DurableConfig, DurableEngine, DurableError, FaultPlan, FaultyStorage,
-    FileStorage, JournalOp, MemStorage, Storage, Wal, WalConfig, WalError,
+    replay, state_diff, DurableConfig, DurableEngine, DurableError, Engine, FaultPlan,
+    FaultyStorage, FileStorage, JournalOp, MemStorage, Outcome, Storage, Wal, WalConfig, WalError,
 };
-use rbac::{SessionId, System};
+use rbac::SessionId;
 use snoop::Ts;
 use support::Driver;
 use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
@@ -34,17 +34,17 @@ struct Durable<'a, S: Storage> {
 }
 
 impl<S: Storage> Driver for Durable<'_, S> {
-    fn system(&self) -> &System {
-        self.d.engine().system()
+    fn engine(&self) -> &Engine {
+        self.d.engine()
     }
 
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome> {
         let before = self.d.op_count();
         let answer = self.d.submit(op);
         if self.d.op_count() > before {
             self.acked.push(op.clone());
         }
-        support::opened(answer.ok())
+        answer.ok()
     }
 }
 

@@ -5,10 +5,9 @@
 
 mod support;
 
-use owte_core::Engine;
-use rbac::SessionId;
+use owte_core::{Engine, JournalOp, Outcome};
 use snoop::{Dur, Ts};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, TraceSpec};
 
 fn check_invariants(e: &Engine) {
     let sys = e.system();
@@ -107,60 +106,24 @@ fn rule_driven_engine_preserves_invariants() {
                 rng.below(300) as u64,
             );
             let mut e = Engine::from_policy(&graph, Ts::ZERO).unwrap();
-            let mut sessions: Vec<Option<SessionId>> = vec![None; spec.users];
+            let mut client = Client::new(spec.users);
             check_invariants(&e);
             for step in &trace {
-                match step {
-                    Step::CreateSession { user } => {
-                        let u = e.user_id(&workload::enterprise::user_name(*user)).unwrap();
-                        if let Ok(s) = e.create_session(u, &[]) {
-                            sessions[*user] = Some(s);
-                        }
-                    }
-                    Step::DeleteSession { user } => {
-                        if let Some(s) = sessions[*user].take() {
-                            let u = e.user_id(&workload::enterprise::user_name(*user)).unwrap();
-                            let _ = e.delete_session(u, s);
-                        }
-                    }
-                    Step::AddActiveRole { user, role } => {
-                        if let Some(s) = sessions[*user] {
-                            let u = e.user_id(&workload::enterprise::user_name(*user)).unwrap();
-                            let r = e.role_id(&workload::enterprise::role_name(*role)).unwrap();
-                            match e.add_active_role(u, s, r) {
-                                Ok(()) => seen.granted += 1,
-                                Err(_) => seen.denied += 1,
-                            }
-                        }
-                    }
-                    Step::DropActiveRole { user, role } => {
-                        if let Some(s) = sessions[*user] {
-                            let u = e.user_id(&workload::enterprise::user_name(*user)).unwrap();
-                            let r = e.role_id(&workload::enterprise::role_name(*role)).unwrap();
-                            let _ = e.drop_active_role(u, s, r);
-                        }
-                    }
-                    Step::CheckAccess { user, op, obj } => {
-                        if let Some(s) = sessions[*user] {
-                            let (Ok(op), Ok(obj)) = (
-                                e.system().op_by_name(&format!("op{op}")),
-                                e.system().obj_by_name(&format!("obj{obj}")),
-                            ) else {
-                                continue;
-                            };
-                            match e.check_access(s, op, obj) {
-                                Ok(true) => seen.granted += 1,
+                if let Some(op) = client.resolve(step, e.system(), e.now()) {
+                    let answer = e.submit(&op);
+                    match op {
+                        JournalOp::AddActiveRole { .. } | JournalOp::CheckAccess { .. } => {
+                            match answer {
+                                Ok(Outcome::Done | Outcome::Access(true)) => seen.granted += 1,
                                 _ => seen.denied += 1,
                             }
                         }
+                        JournalOp::AdvanceTo { .. } | JournalOp::SetContext { .. } => {
+                            assert!(answer.is_ok(), "{op:?}: {answer:?}");
+                        }
+                        _ => {}
                     }
-                    Step::Advance { secs } => {
-                        e.advance(Dur::from_secs(*secs)).unwrap();
-                    }
-                    Step::SetContext { zone } => {
-                        e.set_context("zone", workload::enterprise::ZONES[*zone])
-                            .unwrap();
-                    }
+                    client.record(step, answer.ok());
                 }
                 check_invariants(&e);
             }

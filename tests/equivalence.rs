@@ -9,8 +9,7 @@
 
 mod support;
 
-use owte_core::{DirectEngine, Engine, JournalOp};
-use rbac::{SessionId, System};
+use owte_core::{DirectEngine, Engine, JournalOp, Outcome};
 use snoop::Ts;
 use support::{drive, Driver};
 use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
@@ -71,16 +70,16 @@ impl Harness {
 
 impl Driver for Harness {
     fn on_step(&mut self, index: usize, step: &Step) {
-        self.at = format!("step {index} ({})", step.describe());
+        self.at = format!("step {index} ({step})");
     }
 
-    fn system(&self) -> &System {
-        self.owte.system()
+    fn engine(&self) -> &Engine {
+        &self.owte
     }
 
     /// Both engines answer alike — outcome, session id, or a refusal.
     /// Requests, not clock or context events, are tallied.
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome> {
         let a = self.owte.submit(op).ok();
         let b = self.direct.submit(op).ok();
         assert_eq!(
@@ -93,7 +92,7 @@ impl Driver for Harness {
             Some(false) => self.seen.denials += 1,
             None => {}
         }
-        support::opened(a)
+        a
     }
 }
 

@@ -7,9 +7,9 @@ mod support;
 
 use rbac::SessionId;
 use repl::{state_matches, Cluster, NetFaultKind, NetFaultPlan, ReadOutcome, ReplConfig};
-use sim::{apply_client_op, tiny_enterprise, SimOp};
+use sim::{apply_client_op, tiny_enterprise};
 use snoop::{Civil, Ts};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
+use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, Step, TraceSpec};
 
 fn at(h: u32, m: u32) -> Ts {
     Civil::new(2000, 1, 1, h, m, 0).to_ts()
@@ -22,16 +22,44 @@ fn lockstep() -> ReplConfig {
     }
 }
 
-/// Run `ops` through the leader, driving sessions the same way the model
-/// checker does.
-fn run_script(c: &mut Cluster, ops: &[SimOp], sessions: &mut [Option<SessionId>]) {
-    for op in ops {
-        let op = op.clone();
+/// Run `steps` through the leader, driving sessions the same way the
+/// model checker does.
+fn run_script(c: &mut Cluster, steps: &[Step], client: &mut Client) {
+    for step in steps {
         c.with_leader(|d| {
-            apply_client_op(d, sessions, &op);
+            apply_client_op(d, client, step);
         })
         .expect("leader is up");
     }
+}
+
+/// At 10:00, inside clerk's 09:00–17:00 enabling window, `user0` opens a
+/// session and activates `clerk` through the leader; the session, once
+/// every follower has it.
+fn clerk_at_ten(c: &mut Cluster) -> SessionId {
+    let mut client = Client::new(2);
+    let clerk = "clerk".to_string();
+    let script = [
+        Step::Advance { secs: 36_000 },
+        Step::CreateSession { user: 0 },
+        Step::AddActiveRole {
+            user: 0,
+            role: clerk,
+        },
+    ];
+    run_script(c, &script, &mut client);
+    c.settle();
+    client.sessions()[0].expect("session created")
+}
+
+/// The ids of `tiny_enterprise`'s one permission, `write` on `claims`, on
+/// node `n`.
+fn write_claims(c: &Cluster, n: usize) -> (rbac::OpId, rbac::ObjId) {
+    let sys = c.node_engine(n).unwrap().engine().system();
+    (
+        sys.op_by_name("write").unwrap(),
+        sys.obj_by_name("claims").unwrap(),
+    )
 }
 
 /// Assert every up follower is state-identical to the leader.
@@ -85,7 +113,6 @@ fn lossy_transport_converges() {
             },
             rng.below(1000) as u64,
         );
-        let ops = sim::op::from_trace(&trace);
         let config = ReplConfig {
             net: NetFaultPlan {
                 p_drop: 0.35,
@@ -97,8 +124,8 @@ fn lossy_transport_converges() {
             ..ReplConfig::default()
         };
         let mut c = Cluster::new(&graph, 3, config).expect("cluster boots");
-        let mut sessions = vec![None; graph.users.len()];
-        run_script(&mut c, &ops, &mut sessions);
+        let mut client = Client::new(graph.users.len());
+        run_script(&mut c, &trace, &mut client);
         c.settle();
         assert_converged(&c, "after settle");
         assert_eq!(
@@ -134,8 +161,11 @@ fn scripted_drop_is_deterministic() {
             ..ReplConfig::default()
         };
         let mut c = Cluster::new(&graph, 3, config).expect("cluster boots");
-        let mut sessions = vec![None; 2];
-        run_script(&mut c, &[SimOp::CreateSession { user: 0 }], &mut sessions);
+        run_script(
+            &mut c,
+            &[Step::CreateSession { user: 0 }],
+            &mut Client::new(2),
+        );
         c.settle();
         (c.transport().stats().dropped, c.commit())
     };
@@ -154,17 +184,17 @@ fn scripted_drop_is_deterministic() {
 fn promoted_follower_reships_and_fences_old_leader() {
     let graph = tiny_enterprise();
     let mut c = Cluster::new(&graph, 3, lockstep()).expect("cluster boots");
-    let mut sessions = vec![None; 2];
+    let mut client = Client::new(2);
 
     // Two ops reach everyone.
     run_script(
         &mut c,
         &[
             // 09:30 — inside clerk's 09:00–17:00 enabling window.
-            SimOp::Advance { secs: 34_200 },
-            SimOp::CreateSession { user: 0 },
+            Step::Advance { secs: 34_200 },
+            Step::CreateSession { user: 0 },
         ],
-        &mut sessions,
+        &mut client,
     );
     c.settle();
     assert_eq!(c.commit(), 2);
@@ -174,11 +204,11 @@ fn promoted_follower_reships_and_fences_old_leader() {
         .partition(repl::NodeId(0), repl::NodeId(2));
     run_script(
         &mut c,
-        &[SimOp::AddActiveRole {
+        &[Step::AddActiveRole {
             user: 0,
             role: "clerk".into(),
         }],
-        &mut sessions,
+        &mut client,
     );
     c.settle();
     assert_eq!(
@@ -239,32 +269,11 @@ fn promoted_follower_reships_and_fences_old_leader() {
 fn sessions_survive_failover() {
     let graph = tiny_enterprise();
     let mut c = Cluster::new(&graph, 3, lockstep()).expect("cluster boots");
-    let mut sessions = vec![None; 2];
-    run_script(
-        &mut c,
-        &[
-            // 10:00 — inside clerk's 09:00–17:00 enabling window.
-            SimOp::Advance { secs: 36_000 },
-            SimOp::CreateSession { user: 0 },
-            SimOp::AddActiveRole {
-                user: 0,
-                role: "clerk".into(),
-            },
-        ],
-        &mut sessions,
-    );
-    c.settle();
-    let s = sessions[0].expect("session created");
+    let s = clerk_at_ten(&mut c);
     c.crash(0).unwrap();
     c.promote(2).unwrap();
     c.settle();
-    let (op, obj) = {
-        let sys = c.node_engine(2).unwrap().engine().system();
-        (
-            sys.op_by_name("write").unwrap(),
-            sys.obj_by_name("claims").unwrap(),
-        )
-    };
+    let (op, obj) = write_claims(&c, 2);
     assert!(
         c.check_access_via(2, s, op, obj).unwrap(),
         "the promoted leader honours a session its predecessor created"
@@ -279,29 +288,8 @@ fn sessions_survive_failover() {
 fn follower_refuses_reads_at_the_window_flip() {
     let graph = tiny_enterprise();
     let mut c = Cluster::new(&graph, 3, lockstep()).expect("cluster boots");
-    let mut sessions = vec![None; 2];
-    run_script(
-        &mut c,
-        &[
-            // 10:00 — inside clerk's 09:00–17:00 enabling window.
-            SimOp::Advance { secs: 36_000 },
-            SimOp::CreateSession { user: 0 },
-            SimOp::AddActiveRole {
-                user: 0,
-                role: "clerk".into(),
-            },
-        ],
-        &mut sessions,
-    );
-    c.settle();
-    let s = sessions[0].expect("session created");
-    let (op, obj) = {
-        let sys = c.node_engine(1).unwrap().engine().system();
-        (
-            sys.op_by_name("write").unwrap(),
-            sys.obj_by_name("claims").unwrap(),
-        )
-    };
+    let s = clerk_at_ten(&mut c);
+    let (op, obj) = write_claims(&c, 1);
 
     // The follower's snapshot is valid exactly until the 17:00 flip.
     let snap = c.node_snapshot(1).expect("follower published a snapshot");
@@ -336,29 +324,8 @@ fn follower_refuses_reads_at_the_window_flip() {
 fn stale_follower_degrades_to_leader_after_window_flip() {
     let graph = tiny_enterprise();
     let mut c = Cluster::new(&graph, 3, lockstep()).expect("cluster boots");
-    let mut sessions = vec![None; 2];
-    run_script(
-        &mut c,
-        &[
-            // 10:00 — inside clerk's 09:00–17:00 enabling window.
-            SimOp::Advance { secs: 36_000 },
-            SimOp::CreateSession { user: 0 },
-            SimOp::AddActiveRole {
-                user: 0,
-                role: "clerk".into(),
-            },
-        ],
-        &mut sessions,
-    );
-    c.settle();
-    let s = sessions[0].expect("session created");
-    let (op, obj) = {
-        let sys = c.node_engine(1).unwrap().engine().system();
-        (
-            sys.op_by_name("write").unwrap(),
-            sys.obj_by_name("claims").unwrap(),
-        )
-    };
+    let s = clerk_at_ten(&mut c);
+    let (op, obj) = write_claims(&c, 1);
 
     // Mid-window, the follower's snapshot answers the routed check.
     let before = c.stale_reads();
@@ -373,8 +340,8 @@ fn stale_follower_degrades_to_leader_after_window_flip() {
     run_script(
         &mut c,
         // 10:00 → 17:30, across the flip.
-        &[SimOp::Advance { secs: 27_000 }],
-        &mut sessions,
+        &[Step::Advance { secs: 27_000 }],
+        &mut Client::new(2),
     );
     c.settle();
     let granted = c.check_access_via(1, s, op, obj).unwrap();

@@ -16,9 +16,10 @@ use repl::ReplConfig;
 use sentinel::AuditKind;
 use sim::{
     explore, run_schedule, strip_sod, tiny_enterprise, tiny_ops, Budget, Checker, Choice,
-    ClusterInvariants, ClusterWorld, Invariants, NetChoice, Outcome, SimOp, SimWorld, Strategy,
-    Violation, World,
+    ClusterInvariants, ClusterWorld, Invariants, NetChoice, Outcome, SimWorld, Strategy, Violation,
+    World,
 };
+use workload::Step;
 
 /// The durable config the clean sweep runs under: snapshot every 4 ops
 /// so the exhaustive sweep crosses snapshot writes and log compaction,
@@ -445,8 +446,8 @@ fn cluster_config() -> ReplConfig {
 fn exhaustive_cluster_sweep_is_clean() {
     let graph = tiny_enterprise();
     let ops = vec![
-        SimOp::CreateSession { user: 0 },
-        SimOp::AssignUser {
+        Step::CreateSession { user: 0 },
+        Step::AssignUser {
             user: 1,
             role: "billing".into(),
         },
@@ -505,8 +506,8 @@ fn exhaustive_cluster_sweep_is_clean() {
 fn cluster_deposed_leader_rejoins_without_its_unacked_suffix() {
     let graph = tiny_enterprise();
     let ops = vec![
-        SimOp::CreateSession { user: 0 },
-        SimOp::AssignUser {
+        Step::CreateSession { user: 0 },
+        Step::AssignUser {
             user: 1,
             role: "billing".into(),
         },
@@ -550,7 +551,7 @@ fn cluster_seeded_premature_ack_is_found_and_minimized() {
         premature_ack: true,
         ..cluster_config()
     };
-    let ops = vec![SimOp::CreateSession { user: 0 }];
+    let ops = vec![Step::CreateSession { user: 0 }];
     let world = ClusterWorld::new(&graph, 2, ops, buggy).expect("tiny cluster instantiates");
     let invariants = ClusterInvariants::from_reference(&graph);
     let budget = Budget {
@@ -595,7 +596,7 @@ fn cluster_seeded_premature_ack_is_found_and_minimized() {
     assert_eq!(replayed, (violation, 1));
     // …and the same schedule is clean when acks are honest: the honest
     // commit index never covers the op nobody replicated.
-    let honest = ClusterWorld::new(&graph, 2, vec![SimOp::CreateSession { user: 0 }], {
+    let honest = ClusterWorld::new(&graph, 2, vec![Step::CreateSession { user: 0 }], {
         cluster_config()
     })
     .expect("tiny cluster instantiates");
@@ -613,7 +614,7 @@ fn cluster_seeded_premature_ack_is_found_and_minimized() {
 #[test]
 fn cluster_reduction_agrees_with_raw_tree_walk() {
     let graph = tiny_enterprise();
-    let ops = vec![SimOp::CreateSession { user: 0 }];
+    let ops = vec![Step::CreateSession { user: 0 }];
     let budget = Budget {
         max_steps: 5,
         max_crashes: 1,

@@ -11,8 +11,9 @@
 
 mod support;
 
-use owte_core::{replay, state_diff, DurableConfig, DurableEngine, JournalOp, MemStorage};
-use rbac::{SessionId, System};
+use owte_core::{
+    replay, state_diff, DurableConfig, DurableEngine, Engine, JournalOp, MemStorage, Outcome,
+};
 use snoop::Ts;
 use support::{drive, Driver};
 use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
@@ -22,12 +23,12 @@ use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
 struct Primary<'a>(&'a mut DurableEngine<MemStorage>);
 
 impl Driver for Primary<'_> {
-    fn system(&self) -> &System {
-        self.0.engine().system()
+    fn engine(&self) -> &Engine {
+        self.0.engine()
     }
 
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
-        support::opened(self.0.submit(op).ok())
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome> {
+        self.0.submit(op).ok()
     }
 }
 

@@ -19,8 +19,8 @@
 
 mod support;
 
-use owte_core::{Engine, JournalOp};
-use rbac::{RoleId, SessionId, System, UserId};
+use owte_core::{Engine, JournalOp, Outcome};
+use rbac::{RoleId, SessionId, UserId};
 use sentinel::{AuditEntry, AuditKind};
 use shard::{ShardSession, ShardedEngine};
 use snoop::{EventId, Ts};
@@ -263,16 +263,19 @@ impl Harness {
 
 impl Driver for Harness {
     fn on_step(&mut self, index: usize, step: &Step) {
-        self.at = format!("step {index} ({})", step.describe());
+        self.at = format!("step {index} ({step})");
     }
 
-    fn system(&self) -> &System {
-        self.base.system()
+    fn engine(&self) -> &Engine {
+        &self.base
     }
 
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId> {
+    /// Answers are compared inside; the runner only needs the sessions.
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome> {
         match *op {
-            JournalOp::CreateSession { user, .. } => return self.create_session(user),
+            JournalOp::CreateSession { user, .. } => {
+                return self.create_session(user).map(Outcome::Session)
+            }
             JournalOp::DeleteSession { user, session } => {
                 let sess = self.sessions[&session];
                 self.routed(

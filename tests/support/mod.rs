@@ -7,12 +7,10 @@
 
 #![allow(dead_code)] // each suite uses part of this module
 
-use owte_core::{JournalOp, Outcome, SplitMix64};
+use owte_core::{Engine, JournalOp, Outcome, SplitMix64};
 use policy::{DailyWindow, PolicyGraph};
-use rbac::{SessionId, System};
-use snoop::{Dur, Ts};
-use workload::enterprise::{role_name, user_name, ZONES};
-use workload::{EnterpriseSpec, Step};
+use snoop::Dur;
+use workload::{Client, EnterpriseSpec, Step};
 
 /// Engine adapter for [`drive`]: the runner turns each trace step into a
 /// request, the driver runs it on its engine (or engines, compared
@@ -23,21 +21,11 @@ pub trait Driver {
     /// messages; the default does nothing.
     fn on_step(&mut self, _index: usize, _step: &Step) {}
 
-    /// The monitor whose names the steps are resolved against.
-    fn system(&self) -> &System;
+    /// The engine whose names and clock the steps are resolved against.
+    fn engine(&self) -> &Engine;
 
-    /// Run `op`. Return the session a `CreateSession` opened, `None` if
-    /// the engine refused it (the user then stays session-less) or for
-    /// any other request.
-    fn submit(&mut self, op: &JournalOp) -> Option<SessionId>;
-}
-
-/// The session an answer (`None`: a refusal) reports opened, if any.
-pub fn opened(answer: Option<Outcome>) -> Option<SessionId> {
-    match answer {
-        Some(Outcome::Session(s)) => Some(s),
-        _ => None,
-    }
+    /// Run `op` and return the answer, `None` for a refusal.
+    fn submit(&mut self, op: &JournalOp) -> Option<Outcome>;
 }
 
 /// Whether `answer` (`None`: a refusal) grants the request `op`, for the
@@ -50,84 +38,21 @@ pub fn granted(op: &JournalOp, answer: Option<Outcome>) -> Option<bool> {
     }
 }
 
-/// Run `trace` against `driver`, tracking the most recent open session of
-/// each of `users` users and the clock, which starts at `Ts::ZERO`.
+/// Run `trace` against `driver` through a [`Client`] for `users` users.
 ///
 /// Decisions (grant/deny) are the driver's business — a denied request is
-/// still a delivered request. Only *inapplicable* steps are skipped:
-/// session-scoped steps for users without a session, deletes of
-/// never-created sessions, and checks of permissions the policy does not
-/// name. A deleted session is forgotten whatever the engine answers.
+/// still a delivered request. Only the steps the client skips are not
+/// submitted: session-scoped steps for users without a session and names
+/// the policy does not know.
 pub fn drive<D: Driver>(driver: &mut D, trace: &[Step], users: usize) {
-    let mut sessions: Vec<Option<SessionId>> = vec![None; users];
-    let mut now = Ts::ZERO;
+    let mut client = Client::new(users);
     for (i, step) in trace.iter().enumerate() {
         driver.on_step(i, step);
-        let sys = driver.system();
-        let user = |u: usize| sys.user_by_name(&user_name(u)).expect("trace user");
-        let role = |r: usize| sys.role_by_name(&role_name(r)).expect("trace role");
-        let op = match *step {
-            Step::CreateSession { user: u } => JournalOp::CreateSession {
-                user: user(u),
-                initial: vec![],
-            },
-            Step::DeleteSession { user: u } => {
-                let Some(session) = sessions[u].take() else {
-                    continue;
-                };
-                JournalOp::DeleteSession {
-                    user: user(u),
-                    session,
-                }
-            }
-            Step::AddActiveRole { user: u, role: r } => {
-                let Some(session) = sessions[u] else {
-                    continue;
-                };
-                JournalOp::AddActiveRole {
-                    user: user(u),
-                    session,
-                    role: role(r),
-                }
-            }
-            Step::DropActiveRole { user: u, role: r } => {
-                let Some(session) = sessions[u] else {
-                    continue;
-                };
-                JournalOp::DropActiveRole {
-                    user: user(u),
-                    session,
-                    role: role(r),
-                }
-            }
-            Step::CheckAccess { user: u, op, obj } => {
-                let (Some(session), Ok(op), Ok(obj)) = (
-                    sessions[u],
-                    sys.op_by_name(&format!("op{op}")),
-                    sys.obj_by_name(&format!("obj{obj}")),
-                ) else {
-                    continue;
-                };
-                JournalOp::CheckAccess {
-                    session,
-                    op,
-                    obj,
-                    purpose: -1,
-                }
-            }
-            Step::Advance { secs } => {
-                now += Dur::from_secs(secs);
-                JournalOp::AdvanceTo { to: now }
-            }
-            Step::SetContext { zone } => JournalOp::SetContext {
-                key: "zone".to_string(),
-                value: ZONES[zone].to_string(),
-            },
+        let e = driver.engine();
+        let Some(op) = client.resolve(step, e.system(), e.now()) else {
+            continue;
         };
-        let opened = driver.submit(&op);
-        if let (Step::CreateSession { user: u }, Some(s)) = (step, opened) {
-            sessions[*u] = Some(s);
-        }
+        client.record(step, driver.submit(&op));
     }
 }
 
