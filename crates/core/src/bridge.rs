@@ -6,9 +6,17 @@
 //! `denials_at_least`, `purpose_ok`, …) resolve here. Ids cross the
 //! boundary as `i64`; anything out of range or stale evaluates to `false`
 //! so a malformed rule fails closed.
+//!
+//! The CA rule's `SessionHasPermission` reads the session's active roles
+//! from the monitor and decides against the engine's [`PolicyView`], the
+//! same procedure a lock-free [`crate::AuthSnapshot`] read runs, so the
+//! locked and the snapshot answer cannot drift apart. The monitor's own
+//! `CheckAccess` stays the independent ANSI answer the direct baseline
+//! gives.
 
 use crate::context::ContextState;
 use crate::privacy::{PrivacyState, PurposeId};
+use crate::snapshot::PolicyView;
 use gtrbac::{TemporalConstraints, TemporalPolicies};
 use rbac::{ObjId, OpId, RoleId, SessionId, System, UserId};
 use sentinel::{ActionOutcome, AuthState};
@@ -37,6 +45,8 @@ pub struct BridgeView<'a> {
     pub constraints: &'a TemporalConstraints,
     /// Purposes and object policies.
     pub privacy: &'a PrivacyState,
+    /// The engine's permission closure and `(op, obj)` index.
+    pub policy: &'a PolicyView,
     /// Environment state and context constraints.
     pub context: &'a ContextState,
     /// Timestamps of recent denials (active-security windows).
@@ -152,7 +162,10 @@ impl AuthState for BridgeView<'_> {
         ) else {
             return false;
         };
-        self.sys.check_access(s, op, obj).unwrap_or(false)
+        self.sys
+            .sessions()
+            .active_roles(s)
+            .is_some_and(|active| self.policy.session_holds(active, op, obj))
     }
 
     fn user_cap_ok(&self, u: i64, r: i64) -> bool {
@@ -286,11 +299,13 @@ mod tests {
     fn view(sys: &mut System) -> BridgeView<'_> {
         // Test-only: leak tiny empty defaults for the read-only parts.
         static EMPTY_DENIALS: VecDeque<Ts> = VecDeque::new();
+        let policy = Box::leak(Box::new(PolicyView::build(sys, &PrivacyState::default())));
         BridgeView {
             sys,
             temporal: Box::leak(Box::default()),
             constraints: Box::leak(Box::default()),
             privacy: Box::leak(Box::default()),
+            policy,
             context: Box::leak(Box::default()),
             denials: &EMPTY_DENIALS,
             external: Box::leak(Box::default()),
@@ -340,11 +355,13 @@ mod tests {
         let mut sys = System::new();
         let denials: VecDeque<Ts> =
             [Ts::from_secs(10), Ts::from_secs(50), Ts::from_secs(55)].into();
+        let policy = PolicyView::build(&sys, &PrivacyState::default());
         let v = BridgeView {
             sys: &mut sys,
             temporal: Box::leak(Box::default()),
             constraints: Box::leak(Box::default()),
             privacy: Box::leak(Box::default()),
+            policy: &policy,
             context: Box::leak(Box::default()),
             denials: &denials,
             external: Box::leak(Box::default()),
@@ -365,11 +382,13 @@ mod tests {
         sys.assign_user(u, r).unwrap();
         static EMPTY_DENIALS: VecDeque<Ts> = VecDeque::new();
         let external: std::collections::BTreeMap<RoleId, usize> = [(r, 2)].into();
+        let policy = PolicyView::build(&sys, &PrivacyState::default());
         let v = BridgeView {
             sys: &mut sys,
             temporal: Box::leak(Box::default()),
             constraints: Box::leak(Box::default()),
             privacy: Box::leak(Box::default()),
+            policy: &policy,
             context: Box::leak(Box::default()),
             denials: &EMPTY_DENIALS,
             external: &external,

@@ -107,7 +107,8 @@ pub struct Engine {
     /// fresh push from its coordinator.
     #[serde(skip)]
     external_active: BTreeMap<RoleId, usize>,
-    /// What read-path snapshots share of the policy (see [`PolicyView`]).
+    /// What read-path snapshots and the CA rule's `SessionHasPermission`
+    /// share of the policy (see [`PolicyView`]).
     /// Derived state with the compiled plan's lifecycle: built on first
     /// use, never persisted, dropped by [`Engine::apply_policy`] — the
     /// only operation that changes PA, the hierarchy, the permission set
@@ -389,8 +390,9 @@ impl Engine {
         crate::snapshot::AuthSnapshot::capture(self)
     }
 
-    /// The policy-only state every snapshot shares, built on first use
-    /// after construction, restore or [`Engine::apply_policy`].
+    /// The policy-only state every snapshot shares and the CA rule's
+    /// `SessionHasPermission` reads, built on first use after
+    /// construction, restore or [`Engine::apply_policy`].
     pub fn policy_view(&self) -> &Arc<PolicyView> {
         self.view
             .get_or_init(|| Arc::new(PolicyView::build(&self.inst.system, &self.privacy)))
@@ -507,11 +509,16 @@ impl Engine {
     /// evaluator then runs is the executor's decision, not made here.
     fn with_runtime<R>(&mut self, f: impl FnOnce(&Executor, &mut Runtime<'_>) -> R) -> R {
         let plan = self.plan.get(&self.inst, self.exec.assume_acyclic);
+        // `policy_view()` by field: the monitor is borrowed mutably below.
+        let policy = self
+            .view
+            .get_or_init(|| Arc::new(PolicyView::build(&self.inst.system, &self.privacy)));
         let mut view = BridgeView {
             sys: &mut self.inst.system,
             temporal: &self.inst.temporal,
             constraints: &self.inst.constraints,
             privacy: &self.privacy,
+            policy,
             context: &self.context,
             denials: &self.denials,
             external: &self.external_active,

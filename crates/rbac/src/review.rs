@@ -29,9 +29,8 @@ impl System {
     }
 
     /// Permission closures of every live role (role → direct permissions
-    /// plus everything inherited from juniors): what a read-path snapshot
-    /// captures instead of issuing per-role
-    /// [`role_permissions`](Self::role_permissions) calls under the lock.
+    /// plus everything inherited from juniors), in one call instead of
+    /// one [`role_permissions`](Self::role_permissions) call per role.
     pub fn all_role_perm_closures(&self) -> HashMap<RoleId, BTreeSet<PermId>> {
         self.all_roles()
             .filter_map(|r| Some((r, self.role_perms_closure(r).ok()?)))

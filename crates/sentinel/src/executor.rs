@@ -22,7 +22,7 @@ use crate::pool::RulePool;
 use crate::rule::Rule;
 use crate::state::{ActionOutcome, AuthState};
 use serde::{Deserialize, Serialize};
-use snoop::{Detection, Detector, DetectorError, Dur, EventId, Occurrence, Params, Ts};
+use snoop::{Delivered, Detector, DetectorError, Dur, EventId, Occurrence, Params, Ts};
 use std::sync::Arc;
 
 /// Outcome of one dispatch (an external event plus everything it cascaded
@@ -244,8 +244,8 @@ impl Executor {
         event: EventId,
         params: Params,
     ) -> Result<ExecReport, DetectorError> {
-        let detections = rt.detector.raise(event, params)?;
-        Ok(self.process(rt, detections, 0))
+        let delivered = rt.detector.deliver(event, params)?;
+        Ok(self.process(rt, delivered, 0))
     }
 
     /// Raise a primitive event by name.
@@ -255,8 +255,8 @@ impl Executor {
         event: &str,
         params: Params,
     ) -> Result<ExecReport, DetectorError> {
-        let detections = rt.detector.raise_named(event, params)?;
-        Ok(self.process(rt, detections, 0))
+        let delivered = rt.detector.deliver_named(event, params)?;
+        Ok(self.process(rt, delivered, 0))
     }
 
     /// Advance the detector clock, running rules for every temporal event
@@ -269,10 +269,10 @@ impl Executor {
         let mut report = ExecReport::default();
         while let Some(at) = rt.detector.next_timer_due().filter(|&at| at <= ts) {
             let detections = rt.detector.advance_to(at)?;
-            self.process_into(rt, detections, 0, &mut report);
+            self.process_into(rt, Delivered::Many(detections), 0, &mut report);
         }
         let detections = rt.detector.advance_to(ts)?;
-        self.process_into(rt, detections, 0, &mut report);
+        self.process_into(rt, Delivered::Many(detections), 0, &mut report);
         Ok(report)
     }
 
@@ -282,15 +282,10 @@ impl Executor {
         self.advance_to(rt, now + d)
     }
 
-    /// Run rules for already-collected detections.
-    pub fn process(
-        &self,
-        rt: &mut Runtime<'_>,
-        detections: Vec<Detection>,
-        depth: usize,
-    ) -> ExecReport {
+    /// Run rules for already-delivered detections.
+    pub fn process(&self, rt: &mut Runtime<'_>, delivered: Delivered, depth: usize) -> ExecReport {
         let mut report = ExecReport::default();
-        self.process_into(rt, detections, depth, &mut report);
+        self.process_into(rt, delivered, depth, &mut report);
         report
     }
 
@@ -300,13 +295,13 @@ impl Executor {
     fn process_into(
         &self,
         rt: &mut Runtime<'_>,
-        detections: Vec<Detection>,
+        delivered: Delivered,
         depth: usize,
         report: &mut ExecReport,
     ) {
         match rt.plan {
-            Some(plan) => self.drive(rt, plan, detections, depth, report),
-            None => self.drive(rt, Interpreter, detections, depth, report),
+            Some(plan) => self.drive(rt, plan, delivered, depth, report),
+            None => self.drive(rt, Interpreter, delivered, depth, report),
         }
     }
 
@@ -317,25 +312,41 @@ impl Executor {
         &self,
         rt: &mut Runtime<'_>,
         rules: S,
-        detections: Vec<Detection>,
+        delivered: Delivered,
         depth: usize,
         report: &mut ExecReport,
     ) {
-        for det in detections {
-            let occ = det.occurrence;
-            // By position: rule actions toggle enablement, never the
-            // per-event order, so nothing is snapshotted.
-            let mut next = 0;
-            while let Some(rule) = rules.next_enabled(rt.pool, occ.event, &mut next) {
-                let before = report.denials.len();
-                self.run_rule(rt, rules, &rule, &occ, depth, report);
-                // Deny-overrides, priority-ordered: once a rule denies this
-                // occurrence, lower-priority rules on the same occurrence
-                // are skipped. This is what lets generated guard rules
-                // (specialized caps, SoD guards) precede the apply rule.
-                if report.denials.len() > before {
-                    break;
+        match delivered {
+            Delivered::One(occ) => self.run_rules(rt, rules, &occ, depth, report),
+            Delivered::Many(detections) => {
+                for det in detections {
+                    self.run_rules(rt, rules, &det.occurrence, depth, report);
                 }
+            }
+        }
+    }
+
+    /// One occurrence's rules, in priority order.
+    fn run_rules<S: RuleSource>(
+        &self,
+        rt: &mut Runtime<'_>,
+        rules: S,
+        occ: &Occurrence,
+        depth: usize,
+        report: &mut ExecReport,
+    ) {
+        // By position: rule actions toggle enablement, never the
+        // per-event order, so nothing is snapshotted.
+        let mut next = 0;
+        while let Some(rule) = rules.next_enabled(rt.pool, occ.event, &mut next) {
+            let before = report.denials.len();
+            self.run_rule(rt, rules, &rule, occ, depth, report);
+            // Deny-overrides, priority-ordered: once a rule denies this
+            // occurrence, lower-priority rules on the same occurrence
+            // are skipped. This is what lets generated guard rules
+            // (specialized caps, SoD guards) precede the apply rule.
+            if report.denials.len() > before {
+                break;
             }
         }
     }
@@ -448,11 +459,11 @@ impl Executor {
                     }
                 }
                 let raised = match resolved {
-                    Some(id) => rt.detector.raise(id, p),
-                    None => rt.detector.raise_named(event, p),
+                    Some(id) => rt.detector.deliver(id, p),
+                    None => rt.detector.deliver_named(event, p),
                 };
                 match raised {
-                    Ok(dets) => self.drive(rt, rules, dets, at.depth + 1, report),
+                    Ok(delivered) => self.drive(rt, rules, delivered, at.depth + 1, report),
                     Err(e) => {
                         let m = format!("rule {}: raise {event} failed: {e}", at.rule);
                         at.error(rt, report, m);

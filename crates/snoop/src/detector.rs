@@ -60,6 +60,25 @@ impl fmt::Display for DetectorError {
 
 impl std::error::Error for DetectorError {}
 
+/// What one raise delivered (see [`Detector::deliver`]).
+#[derive(Debug)]
+pub enum Delivered {
+    /// The raised primitive's own occurrence, its only detection.
+    One(Occurrence),
+    /// The detections propagation found, in order; possibly none.
+    Many(Vec<Detection>),
+}
+
+impl Delivered {
+    /// The delivery as the detection list [`Detector::raise`] returns.
+    pub fn into_vec(self) -> Vec<Detection> {
+        match self {
+            Delivered::One(occurrence) => vec![Detection { occurrence }],
+            Delivered::Many(detections) => detections,
+        }
+    }
+}
+
 #[derive(Clone, Serialize, Deserialize)]
 struct Node {
     state: NodeState,
@@ -485,6 +504,13 @@ impl Detector {
 
     /// Raise a primitive event at the current time.
     pub fn raise(&mut self, id: EventId, params: Params) -> Result<Vec<Detection>, DetectorError> {
+        self.deliver(id, params).map(Delivered::into_vec)
+    }
+
+    /// [`Detector::raise`] without the result vector when there is one
+    /// result: a watched primitive no composite subscribes to, which is
+    /// what most raises are, delivers its own occurrence by itself.
+    pub fn deliver(&mut self, id: EventId, params: Params) -> Result<Delivered, DetectorError> {
         let node = self
             .nodes
             .get_mut(id.0 as usize)
@@ -493,10 +519,15 @@ impl Detector {
             return Err(DetectorError::NotPrimitive(id));
         }
         let occ = Occurrence::leaf(id, self.now, params, &mut node.own_sources);
+        let leaf = node.watched && node.parents.is_empty();
         self.raised += 1;
+        if leaf {
+            self.detected += 1;
+            return Ok(Delivered::One(occ));
+        }
         let mut detections = Vec::new();
         self.propagate(occ, &mut detections);
-        Ok(detections)
+        Ok(Delivered::Many(detections))
     }
 
     /// Raise a primitive event by name.
@@ -505,10 +536,19 @@ impl Detector {
         name: &str,
         params: Params,
     ) -> Result<Vec<Detection>, DetectorError> {
+        self.deliver_named(name, params).map(Delivered::into_vec)
+    }
+
+    /// [`Detector::deliver`] by name.
+    pub fn deliver_named(
+        &mut self,
+        name: &str,
+        params: Params,
+    ) -> Result<Delivered, DetectorError> {
         let id = self
             .lookup(name)
             .ok_or_else(|| DetectorError::UnknownEvent(name.to_string()))?;
-        self.raise(id, params)
+        self.deliver(id, params)
     }
 
     /// Advance the clock to `ts`, firing all timers due on the way (in
@@ -729,10 +769,10 @@ impl Detector {
     /// Breadth-first propagation of an occurrence up the event graph,
     /// appending what watched nodes detect to `detections`.
     ///
-    /// Most raises end at the primitive itself: a watched node nothing
-    /// subscribes to. That case moves the occurrence into its detection
-    /// and touches neither the queue nor a node output; an occurrence is
-    /// only copied when it is both delivered and passed on to a parent.
+    /// A watched node nothing subscribes to moves the occurrence into its
+    /// detection and touches neither the queue nor a node output; an
+    /// occurrence is only copied when it is both delivered and passed on
+    /// to a parent.
     fn propagate(&mut self, root: Occurrence, detections: &mut Vec<Detection>) {
         let mut queue: VecDeque<Occurrence> = VecDeque::new();
         let mut out = NodeOutput::default();
@@ -993,6 +1033,31 @@ mod tests {
         let dets = d.raise(e, Params::new().with("user", "bob")).unwrap();
         assert_eq!(dets.len(), 1);
         assert_eq!(dets[0].occurrence.params.get_str("user"), Some("bob"));
+    }
+
+    /// A watched leaf comes back by itself; a primitive a composite
+    /// subscribes to, or an unwatched one, through propagation. Either
+    /// way the counts are those of `raise`.
+    #[test]
+    fn deliver_skips_the_vector_only_for_a_watched_leaf() {
+        let mut d = det();
+        let leaf = d.primitive("leaf");
+        let both = d.define(&E::and(E::prim("a"), E::prim("b"))).unwrap();
+        let a = d.lookup("a").unwrap();
+        for id in [leaf, a, both] {
+            d.watch(id);
+        }
+        let one = d.deliver(leaf, Params::new().with("user", "bob")).unwrap();
+        assert!(matches!(&one, Delivered::One(occ) if occ.event == leaf));
+        assert_eq!(one.into_vec().len(), 1);
+        assert!(matches!(
+            d.deliver(a, Params::new()).unwrap(),
+            Delivered::Many(dets) if dets.len() == 1
+        ));
+        let b = d.deliver_named("b", Params::new()).unwrap().into_vec();
+        assert_eq!(b.len(), 1, "b is unwatched; the AND detects");
+        assert_eq!(b[0].event(), both);
+        assert_eq!((d.raised_count(), d.detected_count()), (3, 3));
     }
 
     #[test]

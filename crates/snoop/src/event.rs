@@ -403,7 +403,6 @@ pub struct Detection {
 
 impl Detection {
     /// The detected event.
-    /// The detected event.
     pub fn event(&self) -> EventId {
         self.occurrence.event
     }

@@ -53,6 +53,6 @@ pub mod time;
 pub use builder::EventExpr;
 pub use calendar::{CalendarExpr, Civil, Field};
 pub use context::Context;
-pub use detector::{Detector, DetectorError};
+pub use detector::{Delivered, Detector, DetectorError};
 pub use event::{Detection, EventId, Key, Occurrence, Params, Value};
 pub use time::{Dur, Interval, Ts};

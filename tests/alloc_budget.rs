@@ -13,26 +13,28 @@
 //!
 //! | operation                | before  | now    | budget |
 //! |--------------------------|---------|--------|--------|
-//! | `check_access` granted   | 17 / 18 | 2 / 2  | 2      |
-//! | ... through a junior     |  5 / 5  | 2 / 2  | 2      |
-//! | `check_access` denied    | 29 / 30 | 6 / 6  | 14     |
-//! | `add_active_role`        | 37 / 41 | 6 / 8  | 18     |
-//! | `drop_active_role`       | 22 / 25 | 3 / 5  | 11     |
+//! | `check_access` granted   | 17 / 18 | 1 / 1  | 1      |
+//! | ... through a junior     |  5 / 5  | 1 / 1  | 1      |
+//! | `check_access` denied    | 29 / 30 | 5 / 5  | 14     |
+//! | `add_active_role`        | 37 / 41 | 3 / 5  | 18     |
+//! | `drop_active_role`       | 22 / 25 | 2 / 4  | 11     |
 //!
 //! Both evaluators run under one driver and count the same there; the two
-//! extra of an interpreted activation are the engine building the
-//! per-role event name, which the plan's tables resolve ahead of time. The
-//! last three budgets are half of the old compiled-plan counts, rounded
-//! down: a regression that brings back one allocation per key, per
-//! audit entry or per propagation step lands well above them. The second
-//! row is a permission the active role holds only through a junior; its
-//! "before" is the commit that still walked the hierarchy per check (a
-//! stack and a set each time), where the monitor now reads the role's
-//! stored junior closure, so an inherited grant costs what a direct one
-//! does. What the counts still contain: the request's parameter buffer
-//! and the detector's result vector per raised event (a granted check
-//! raises one, an activation three), the denial's message strings, and an
-//! index entry per activation.
+//! extra of an interpreted activation or deactivation are the engine
+//! building the per-role event name, which the plan's tables resolve ahead
+//! of time. The last three budgets are half of the old compiled-plan
+//! counts, rounded down: a regression that brings back one allocation per
+//! key, per audit entry or per propagation step lands well above them. The
+//! second row is a permission the active role holds only through a junior;
+//! its "before" is the commit that still walked the hierarchy per check (a
+//! stack and a set each time), where the engine now reads the role's
+//! permission closure from its policy view, so an inherited grant costs
+//! what a direct one does. A granted check is its parameter buffer and
+//! nothing else: the raised event is a watched primitive no composite
+//! subscribes to, which the detector delivers without a result vector
+//! ([`snoop::Detector::deliver`]). What the other counts still contain: the
+//! result vector of a raise a composite subscribes to, the denial's
+//! message strings, and an index entry per activation.
 
 use owte_core::Engine;
 use rbac::{ObjId, OpId, RoleId, SessionId, UserId};
@@ -200,7 +202,7 @@ fn worst(b: &mut Bench, warm: usize, reps: usize, mut op: impl FnMut(&mut Bench)
 
 /// `[granted check, inherited grant, denied check, add_active_role,
 /// drop_active_role]`.
-const BUDGET: [u64; 5] = [2, 2, 14, 18, 11];
+const BUDGET: [u64; 5] = [1, 1, 14, 18, 11];
 
 fn measure(compiled: bool) -> [u64; 5] {
     let mut b = bench(compiled);
