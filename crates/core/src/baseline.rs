@@ -19,7 +19,7 @@ use gtrbac::{
 use policy::{Binding, InstantiateError, PolicyGraph, SecurityAction, SecuritySpec};
 use rbac::{ObjId, OpId, RoleId, SessionId, System, UserId};
 use snoop::{Dur, Ts};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// One scheduled Δ-expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +46,11 @@ pub struct DirectEngine {
     boundaries: BTreeMap<(Ts, RoleId), bool>,
     /// Δ-expiry timers, keyed by (when, sequence).
     timers: BTreeMap<(Ts, u64), Expiry>,
+    /// The key of every pending Δ-expiry timer, by the (session, role)
+    /// activation it expires: a deactivation cancels its own timers by
+    /// key. A stale timer — its activation ended another way — stays
+    /// listed until it fires or its pair is deactivated again.
+    timers_by_activation: BTreeSet<(SessionId, RoleId, (Ts, u64))>,
     /// Delayed trigger actions, keyed by (when, sequence).
     trigger_timers: BTreeMap<(Ts, u64), RoleAction>,
     timer_seq: u64,
@@ -121,6 +126,7 @@ impl DirectEngine {
             now: start,
             boundaries,
             timers: BTreeMap::new(),
+            timers_by_activation: BTreeSet::new(),
             trigger_timers: BTreeMap::new(),
             timer_seq: 0,
             cascade_depth: 0,
@@ -312,6 +318,7 @@ impl DirectEngine {
                     role,
                 },
             );
+            self.timers_by_activation.insert((session, role, key));
         }
         Ok(())
     }
@@ -329,8 +336,15 @@ impl DirectEngine {
         if let Err(e) = self.sys.drop_active_role(user, session, role) {
             return Err(self.deny(e.to_string()));
         }
-        self.timers
-            .retain(|_, e| !(e.session == session && e.role == role));
+        let first = (session, role, (Ts::ZERO, 0));
+        while let Some(&entry) = self.timers_by_activation.range(first..).next() {
+            let (s, r, key) = entry;
+            if (s, r) != (session, role) {
+                break;
+            }
+            self.timers_by_activation.remove(&entry);
+            self.timers.remove(&key);
+        }
         self.cascade_dropped(role);
         Ok(())
     }
@@ -539,6 +553,8 @@ impl DirectEngine {
             .collect();
         for ((t, seq), exp) in expired {
             self.timers.remove(&(t, seq));
+            self.timers_by_activation
+                .remove(&(exp.session, exp.role, (t, seq)));
             due.push((t, 1, seq, Evt::Expire(exp)));
         }
         let delayed: Vec<((Ts, u64), RoleAction)> = self
@@ -848,6 +864,31 @@ mod tests {
         assert!(e.sys.session_roles(s).unwrap().contains(&nurse));
         e.advance(Dur::from_hours(1)).unwrap();
         assert!(!e.sys.session_roles(s).unwrap().contains(&nurse));
+    }
+
+    /// A deactivation cancels its own Δ timer by key: the same role's
+    /// timer in another session survives and expires that activation.
+    #[test]
+    fn drop_cancels_only_its_own_delta_timer() {
+        let g = hospital();
+        let mut e = DirectEngine::from_policy(&g, Ts::ZERO).unwrap();
+        let bob = e.user_id("bob").unwrap();
+        let nurse = e.role_id("Nurse").unwrap();
+        let mine = e.create_session(bob, &[nurse]).unwrap();
+        e.advance(Dur::from_mins(10)).unwrap();
+        let other = e.create_session(bob, &[nurse]).unwrap();
+        assert_eq!((e.timers.len(), e.timers_by_activation.len()), (2, 2));
+        e.drop_active_role(bob, mine, nurse).unwrap();
+        assert_eq!((e.timers.len(), e.timers_by_activation.len()), (1, 1));
+        let &(session, role, _) = e.timers_by_activation.first().unwrap();
+        assert_eq!((session, role), (other, nurse));
+        e.advance(Dur::from_hours(2)).unwrap();
+        assert!(e.sys.session_roles(mine).unwrap().is_empty());
+        assert!(
+            !e.sys.session_roles(other).unwrap().contains(&nurse),
+            "the other session's timer fired"
+        );
+        assert!(e.timers.is_empty() && e.timers_by_activation.is_empty());
     }
 
     #[test]

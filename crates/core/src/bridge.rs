@@ -20,7 +20,7 @@ use crate::snapshot::PolicyView;
 use gtrbac::{TemporalConstraints, TemporalPolicies};
 use rbac::{ObjId, OpId, RoleId, SessionId, System, UserId};
 use sentinel::{ActionOutcome, AuthState};
-use snoop::{Dur, Occurrence, Ts};
+use snoop::{Dur, Ts};
 use std::collections::VecDeque;
 
 fn role(id: i64) -> Option<RoleId> {
@@ -55,14 +55,6 @@ pub struct BridgeView<'a> {
     /// ([`crate::Engine::set_external_active`]): cross-user reads add
     /// these so a shard sees the global count. Empty when unsharded.
     pub external: &'a std::collections::BTreeMap<RoleId, usize>,
-}
-
-impl BridgeView<'_> {
-    /// Occurrence time = evaluation time for all temporal checks (the
-    /// detector delivers timer-fired occurrences at their logical instant).
-    fn occ_now(occ: &Occurrence) -> Ts {
-        occ.interval.end
-    }
 }
 
 impl AuthState for BridgeView<'_> {
@@ -182,8 +174,10 @@ impl AuthState for BridgeView<'_> {
         }
     }
 
-    fn custom_check(&self, name: &str, args: &[i64], occ: &Occurrence) -> bool {
-        let now = Self::occ_now(occ);
+    fn custom_check(&self, name: &str, args: &[i64], now: Ts) -> bool {
+        // `now` is the triggering event's time, the evaluation time of
+        // every temporal check (the detector delivers timer-fired
+        // occurrences at their logical instant).
         match (name, args) {
             ("disabling_sod_ok", [r]) => {
                 role(*r).is_some_and(|r| self.constraints.check_disable(self.sys, r, now).is_ok())
@@ -290,11 +284,6 @@ impl AuthState for BridgeView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snoop::{EventId, Params};
-
-    fn occ_at(t: Ts) -> Occurrence {
-        Occurrence::primitive(EventId(0), t, Params::new())
-    }
 
     fn view(sys: &mut System) -> BridgeView<'_> {
         // Test-only: leak tiny empty defaults for the read-only parts.
@@ -367,11 +356,11 @@ mod tests {
             external: Box::leak(Box::default()),
         };
         // At t=60 with a 20s window: denials at 50 and 55 count.
-        let occ = occ_at(Ts::from_secs(60));
-        assert!(v.custom_check("denials_at_least", &[2, 20], &occ));
-        assert!(!v.custom_check("denials_at_least", &[3, 20], &occ));
-        assert!(v.custom_check("denials_at_least", &[3, 60], &occ));
-        assert!(!v.custom_check("no_such_check", &[], &occ));
+        let now = Ts::from_secs(60);
+        assert!(v.custom_check("denials_at_least", &[2, 20], now));
+        assert!(!v.custom_check("denials_at_least", &[3, 20], now));
+        assert!(v.custom_check("denials_at_least", &[3, 60], now));
+        assert!(!v.custom_check("no_such_check", &[], now));
     }
 
     #[test]

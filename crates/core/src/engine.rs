@@ -410,6 +410,13 @@ impl Engine {
         self.inst.detector.next_timer_at()
     }
 
+    /// `(primitive raises, watched detections)` so far: the detector's
+    /// counters, which a request counts the same whichever way it enters.
+    pub fn event_counts(&self) -> (u64, u64) {
+        let detector = &self.inst.detector;
+        (detector.raised_count(), detector.detected_count())
+    }
+
     /// Deadlines of all pending detector timers, sorted and deduplicated
     /// (see [`snoop::Detector::pending_timer_deadlines`]).
     pub fn pending_timer_deadlines(&self) -> Vec<Ts> {
@@ -558,6 +565,29 @@ impl Engine {
         Ok(report)
     }
 
+    /// Run a request whose event the armed plan resolved: its fields go to
+    /// the rules as they are ([`Executor::dispatch_request`]).
+    fn dispatch_request(
+        &mut self,
+        id: EventId,
+        fields: &[(&'static str, i64)],
+    ) -> Result<ExecReport, EngineError> {
+        let report = self.with_runtime(|exec, rt| exec.dispatch_request(rt, id, fields))?;
+        self.settle(&report, false)?;
+        Ok(report)
+    }
+
+    /// The by-name fallback of a request, taken without an armed plan —
+    /// and by [`Engine::interpreted`], which raises everything through the
+    /// detector: the fields become the occurrence's parameters.
+    fn dispatch_fields_named(
+        &mut self,
+        name: &str,
+        fields: &[(&'static str, i64)],
+    ) -> Result<ExecReport, EngineError> {
+        self.dispatch(name, sentinel::params_of(fields))
+    }
+
     /// Advance the logical clock, firing temporal rules on the way.
     pub fn advance_to(&mut self, ts: Ts) -> Result<ExecReport, EngineError> {
         let before = self.now();
@@ -588,7 +618,9 @@ impl Engine {
             self.denials.pop_front();
         }
         self.in_denial_cascade = true;
-        let result = self.dispatch_admin_event(
+        // A timestamp, not an id, and the active-security counters are
+        // composites: this one goes through the detector.
+        let result = self.dispatch_admin_params(
             |c| c.access_denied,
             events::ACCESS_DENIED,
             Params::with_capacity(1).with("time", now),
@@ -628,31 +660,32 @@ impl Engine {
         Some(plan.plan.dump(&self.inst.detector))
     }
 
-    /// Dispatch a per-role operation event: by pre-resolved id on a table
-    /// hit, else by constructed name (also the path that reports unknown
-    /// roles).
+    /// Dispatch a per-role operation request: by pre-resolved id on a
+    /// table hit, else by constructed name (also the path that reports
+    /// unknown roles).
     fn dispatch_role_event(
         &mut self,
         table: fn(&CompiledPolicy) -> &[Option<EventId>],
         named: fn(&str) -> String,
         role: RoleId,
-        params: Params,
+        fields: &[(&'static str, i64)],
     ) -> Result<ExecReport, EngineError> {
         let hit = self
             .armed_plan()
             .and_then(|c| CompiledPolicy::role_event(table(c), role));
         match hit {
-            Some(id) => self.dispatch_ref(EventRef::Id(id), params),
+            Some(id) => self.dispatch_request(id, fields),
             None => {
                 let name = self.role_name(role)?;
-                self.dispatch(&named(&name), params)
+                self.dispatch_fields_named(&named(&name), fields)
             }
         }
     }
 
-    /// Dispatch a fixed administrative event by pre-resolved id when the
-    /// plan is armed.
-    fn dispatch_admin_event(
+    /// Raise a fixed administrative event whose parameters are not ids,
+    /// through the detector: by pre-resolved id when the plan is armed,
+    /// else by name.
+    fn dispatch_admin_params(
         &mut self,
         resolved: fn(&CompiledPolicy) -> Option<EventId>,
         name: &str,
@@ -661,6 +694,20 @@ impl Engine {
         match self.armed_plan().and_then(resolved) {
             Some(id) => self.dispatch_ref(EventRef::Id(id), params),
             None => self.dispatch(name, params),
+        }
+    }
+
+    /// Dispatch a request to a fixed administrative event: by pre-resolved
+    /// id when the plan is armed, else by name.
+    fn dispatch_admin_event(
+        &mut self,
+        resolved: fn(&CompiledPolicy) -> Option<EventId>,
+        name: &str,
+        fields: &[(&'static str, i64)],
+    ) -> Result<ExecReport, EngineError> {
+        match self.armed_plan().and_then(resolved) {
+            Some(id) => self.dispatch_request(id, fields),
+            None => self.dispatch_fields_named(name, fields),
         }
     }
 
@@ -768,17 +815,18 @@ impl Engine {
             |c| &c.add_active,
             events::add_active,
             role,
-            Params::with_capacity(3)
-                .with("user", i64::from(user.0))
-                .with("session", i64::from(session.0))
-                .with("role", i64::from(role.0)),
+            &[
+                ("user", i64::from(user.0)),
+                ("session", i64::from(session.0)),
+                ("role", i64::from(role.0)),
+            ],
         )?;
         Self::expect_granted(report)?;
-        debug_assert!(
-            self.inst
-                .system
-                .session_roles(session)
-                .is_ok_and(|rs| rs.contains(&role)),
+        // A lookup, not `session_roles`: the check must not allocate, or a
+        // debug build measures an allocation the request does not make.
+        debug_assert_eq!(
+            self.inst.system.is_active_in_session(session, role),
+            Ok(true),
             "granted activation must be visible in the monitor"
         );
         Ok(())
@@ -795,10 +843,11 @@ impl Engine {
             |c| &c.drop_active,
             events::drop_active,
             role,
-            Params::with_capacity(3)
-                .with("user", i64::from(user.0))
-                .with("session", i64::from(session.0))
-                .with("role", i64::from(role.0)),
+            &[
+                ("user", i64::from(user.0)),
+                ("session", i64::from(session.0)),
+                ("role", i64::from(role.0)),
+            ],
         )?;
         Self::expect_granted(report)
     }
@@ -839,11 +888,12 @@ impl Engine {
         let report = self.dispatch_admin_event(
             |c| c.check_access,
             events::CHECK_ACCESS,
-            Params::with_capacity(4)
-                .with("session", i64::from(session.0))
-                .with("op", i64::from(op.0))
-                .with("obj", i64::from(obj.0))
-                .with("purpose", purpose),
+            &[
+                ("session", i64::from(session.0)),
+                ("op", i64::from(op.0)),
+                ("obj", i64::from(obj.0)),
+                ("purpose", purpose),
+            ],
         )?;
         if !report.errors.is_empty() {
             return Err(EngineError::Unhandled(report.errors.join("; ")));
@@ -856,9 +906,7 @@ impl Engine {
         let report = self.dispatch_admin_event(
             |c| c.assign_user,
             events::ASSIGN_USER,
-            Params::new()
-                .with("user", i64::from(user.0))
-                .with("role", i64::from(role.0)),
+            &[("user", i64::from(user.0)), ("role", i64::from(role.0))],
         )?;
         Self::expect_granted(report)
     }
@@ -868,9 +916,7 @@ impl Engine {
         let report = self.dispatch_admin_event(
             |c| c.deassign_user,
             events::DEASSIGN_USER,
-            Params::new()
-                .with("user", i64::from(user.0))
-                .with("role", i64::from(role.0)),
+            &[("user", i64::from(user.0)), ("role", i64::from(role.0))],
         )?;
         Self::expect_granted(report)
     }
@@ -881,7 +927,7 @@ impl Engine {
             |c| &c.enable_role,
             events::enable_role,
             role,
-            Params::new().with("role", i64::from(role.0)),
+            &[("role", i64::from(role.0))],
         )?;
         Self::expect_granted(report)
     }
@@ -892,7 +938,7 @@ impl Engine {
             |c| &c.disable_role,
             events::disable_role,
             role,
-            Params::new().with("role", i64::from(role.0)),
+            &[("role", i64::from(role.0))],
         )?;
         Self::expect_granted(report)
     }
@@ -904,10 +950,13 @@ impl Engine {
     pub fn set_context(&mut self, key: &str, value: &str) -> Result<ExecReport, EngineError> {
         self.context.set(key, value);
         self.bump_version();
-        self.dispatch_admin_event(
+        // Text fields: a context change goes through the detector.
+        self.dispatch_admin_params(
             |c| c.context_changed,
             events::CONTEXT_CHANGED,
-            Params::new().with("key", key).with("value", value),
+            Params::with_capacity(2)
+                .with("key", key)
+                .with("value", value),
         )
     }
 

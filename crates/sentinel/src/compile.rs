@@ -27,12 +27,13 @@
 //! checks the verdict). A pool that fails to compile simply keeps running
 //! interpreted — the plan is an optimization, never a semantic gate.
 
+use crate::bindings::Bindings;
 use crate::executor::{eval_check, id_arg, RuleSource, Triggered};
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::pool::RulePool;
 use crate::rule::{Rule, RuleId};
 use crate::state::AuthState;
-use snoop::{Detector, EventId, Occurrence};
+use snoop::{Detector, EventId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Weak};
@@ -480,10 +481,10 @@ fn bound_event(
 
 /// Evaluate condition bytecode: same evaluation order, short-circuiting
 /// and error propagation as the interpreter's tree walk.
-fn eval_compiled_cond(
+fn eval_compiled_cond<B: Bindings>(
     code: &[CondOp],
     checks: &[CCheck],
-    occ: &Occurrence,
+    occ: &B,
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
@@ -516,9 +517,9 @@ fn eval_compiled_cond(
     Ok(acc)
 }
 
-fn eval_ccheck(
+fn eval_ccheck<B: Bindings>(
     check: &CCheck,
-    occ: &Occurrence,
+    occ: &B,
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
@@ -576,9 +577,9 @@ impl Triggered for &CompiledRule {
         &self.name
     }
 
-    fn holds(
+    fn holds<B: Bindings>(
         &self,
-        occ: &Occurrence,
+        occ: &B,
         state: &dyn AuthState,
         detector: &Detector,
     ) -> Result<bool, String> {
@@ -677,7 +678,7 @@ mod tests {
     use crate::log::{AuditEntry, AuditKind, AuditLog};
     use crate::rule::{Rule, RuleClass};
     use crate::state::PermissiveState;
-    use snoop::{Dur, EventExpr, Params, Ts};
+    use snoop::{Dur, EventExpr, Occurrence, Params, Ts};
 
     fn lower_expr(cond: &CondExpr) -> (Vec<CondOp>, Vec<CCheck>) {
         let detector = Detector::new(Ts::ZERO);

@@ -9,12 +9,26 @@
 //! activation) — which are processed in the same dispatch up to a depth
 //! limit.
 //!
-//! There is one cascade driver. It is generic over where an occurrence's
-//! rules come from (`RuleSource`): the pool, whose condition trees it
-//! walks — the *interpreter*, the reference — or the plan
-//! [`crate::compile`] lowered the pool into. [`Executor::process`] picks
-//! between the two from what the [`Runtime`] carries.
+//! There is one cascade driver. It is generic, with static dispatch, over
+//! two things:
+//!
+//! - where an event's rules come from (`RuleSource`): the pool, whose
+//!   condition trees it walks — the *interpreter*, the reference — or the
+//!   plan [`crate::compile`] lowered the pool into. [`Executor::process`]
+//!   picks between the two from what the [`Runtime`] carries;
+//! - what the rules read of the event ([`Bindings`]): a
+//!   [`snoop::Occurrence`], which every detection is, or a [`Request`] — the
+//!   typed fields of a request to a primitive no composite listens to,
+//!   entered through [`Executor::dispatch_request`] without a parameter
+//!   list or an occurrence being built.
+//!
+//! Both kinds of bindings give the same decisions, reports and audit
+//! entries. A rule-raised event that nothing watches and no composite
+//! subscribes to is only counted ([`snoop::Detector::raise_inert`]) once
+//! the plan has resolved it; everything else a rule raises goes through
+//! the detector.
 
+use crate::bindings::{params_of, Bindings, Request};
 use crate::compile::CompiledPool;
 use crate::lang::{ActionSpec, Check, CondExpr, ParamRef};
 use crate::log::{AuditEntry, AuditKind, AuditLog};
@@ -22,7 +36,8 @@ use crate::pool::RulePool;
 use crate::rule::Rule;
 use crate::state::{ActionOutcome, AuthState};
 use serde::{Deserialize, Serialize};
-use snoop::{Delivered, Detector, DetectorError, Dur, EventId, Occurrence, Params, Ts};
+use snoop::{Delivered, Detector, DetectorError, Dur, EventId, Params, Ts};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Outcome of one dispatch (an external event plus everything it cascaded
@@ -142,9 +157,9 @@ pub(crate) trait Triggered {
     fn name(&self) -> &Arc<str>;
 
     /// Evaluate the **W** part.
-    fn holds(
+    fn holds<B: Bindings>(
         &self,
-        occ: &Occurrence,
+        occ: &B,
         state: &dyn AuthState,
         detector: &Detector,
     ) -> Result<bool, String>;
@@ -178,9 +193,9 @@ impl Triggered for Arc<Rule> {
         &self.name
     }
 
-    fn holds(
+    fn holds<B: Bindings>(
         &self,
-        occ: &Occurrence,
+        occ: &B,
         state: &dyn AuthState,
         detector: &Detector,
     ) -> Result<bool, String> {
@@ -193,21 +208,21 @@ impl Triggered for Arc<Rule> {
     }
 }
 
-/// One rule running on one occurrence: what every audit entry and error
+/// One rule running on one event: what every audit entry and error
 /// message of the firing names.
-struct Firing<'a> {
+struct Firing<'a, B> {
     rule: &'a Arc<str>,
-    occ: &'a Occurrence,
+    occ: &'a B,
     depth: usize,
 }
 
-impl Firing<'_> {
+impl<B: Bindings> Firing<'_, B> {
     fn audit(&self, rt: &mut Runtime<'_>, kind: AuditKind, message: String) {
         rt.log.push(AuditEntry {
             time: rt.detector.now(),
             kind,
             rule: Some(Arc::clone(self.rule)),
-            event: Some(self.occ.event),
+            event: Some(self.occ.event()),
             message,
         });
     }
@@ -282,6 +297,35 @@ impl Executor {
         self.advance_to(rt, now + d)
     }
 
+    /// Run the rules of a request to primitive `event` whose parameters
+    /// are `fields`, in order. When `event` is a leaf — watched, no
+    /// composite subscribes to it ([`Detector::deliver_leaf`]) — the rules
+    /// read the fields as they are, a [`Request`]: no parameter list and
+    /// no occurrence is built. Any other event is raised with the fields
+    /// as its parameters through [`Executor::dispatch`]. Reports, audit
+    /// entries and detector counts are those of `dispatch` either way.
+    pub fn dispatch_request(
+        &self,
+        rt: &mut Runtime<'_>,
+        event: EventId,
+        fields: &[(&'static str, i64)],
+    ) -> Result<ExecReport, DetectorError> {
+        if !rt.detector.deliver_leaf(event)? {
+            return self.dispatch(rt, event, params_of(fields));
+        }
+        let request = Request {
+            event,
+            time: rt.detector.now(),
+            fields,
+        };
+        let mut report = ExecReport::default();
+        match rt.plan {
+            Some(plan) => self.run_rules(rt, plan, &request, 0, &mut report),
+            None => self.run_rules(rt, Interpreter, &request, 0, &mut report),
+        }
+        Ok(report)
+    }
+
     /// Run rules for already-delivered detections.
     pub fn process(&self, rt: &mut Runtime<'_>, delivered: Delivered, depth: usize) -> ExecReport {
         let mut report = ExecReport::default();
@@ -326,19 +370,19 @@ impl Executor {
         }
     }
 
-    /// One occurrence's rules, in priority order.
-    fn run_rules<S: RuleSource>(
+    /// One event's rules, in priority order.
+    fn run_rules<S: RuleSource, B: Bindings>(
         &self,
         rt: &mut Runtime<'_>,
         rules: S,
-        occ: &Occurrence,
+        occ: &B,
         depth: usize,
         report: &mut ExecReport,
     ) {
         // By position: rule actions toggle enablement, never the
         // per-event order, so nothing is snapshotted.
         let mut next = 0;
-        while let Some(rule) = rules.next_enabled(rt.pool, occ.event, &mut next) {
+        while let Some(rule) = rules.next_enabled(rt.pool, occ.event(), &mut next) {
             let before = report.denials.len();
             self.run_rule(rt, rules, &rule, occ, depth, report);
             // Deny-overrides, priority-ordered: once a rule denies this
@@ -351,12 +395,12 @@ impl Executor {
         }
     }
 
-    fn run_rule<S: RuleSource>(
+    fn run_rule<S: RuleSource, B: Bindings>(
         &self,
         rt: &mut Runtime<'_>,
         rules: S,
         rule: &S::Rule,
-        occ: &Occurrence,
+        occ: &B,
         depth: usize,
         report: &mut ExecReport,
     ) {
@@ -398,11 +442,11 @@ impl Executor {
     /// cancels when the rule source looked it up ahead of time; the
     /// detector's name table is append-only, so that id is what the name
     /// resolves to now.
-    fn run_action<S: RuleSource>(
+    fn run_action<S: RuleSource, B: Bindings>(
         &self,
         rt: &mut Runtime<'_>,
         rules: S,
-        at: &Firing<'_>,
+        at: &Firing<'_, B>,
         action: &ActionSpec,
         resolved: Option<EventId>,
         report: &mut ExecReport,
@@ -444,16 +488,29 @@ impl Executor {
                     at.error(rt, report, m);
                     return;
                 }
+                let missing = |src: &ParamRef| {
+                    format!(
+                        "rule {}: parameter {src} missing for raised event {event}",
+                        at.rule
+                    )
+                };
+                // Nothing listens to an inert event: once its parameters
+                // are known to resolve, the raise is only counted.
+                if let Some(id) = resolved.filter(|&id| rt.detector.is_inert(id)) {
+                    match params.iter().find(|(_, src)| !src.resolves(occ)) {
+                        Some((_, src)) => at.error(rt, report, missing(src)),
+                        None => {
+                            rt.detector.raise_inert(id);
+                        }
+                    }
+                    return;
+                }
                 let mut p = Params::with_capacity(params.len());
                 for (name, src) in params {
                     match src.resolve(occ) {
                         Some(v) => p.set(name, v),
                         None => {
-                            let m = format!(
-                                "rule {}: parameter {src} missing for raised event {event}",
-                                at.rule
-                            );
-                            at.error(rt, report, m);
+                            at.error(rt, report, missing(src));
                             return;
                         }
                     }
@@ -476,7 +533,7 @@ impl Executor {
                     at.error(rt, report, m);
                     return;
                 };
-                let key = occ.params.get(key_param).cloned();
+                let key = occ.value(key_param).map(Cow::into_owned);
                 let n = rt.detector.cancel_timers_where(id, |base| {
                     base.is_some_and(|b| b.params.get(key_param) == key.as_ref())
                 });
@@ -550,7 +607,7 @@ impl Executor {
                 for a in args {
                     ids.push(arg!(a));
                 }
-                let outcome = rt.state.custom_action(name, &ids, occ);
+                let outcome = rt.state.custom_action(name, &ids, occ.time());
                 at.settle(rt, report, outcome);
             }
         }
@@ -559,9 +616,9 @@ impl Executor {
 
 /// Evaluate a condition expression. `Err` carries a description of a
 /// malformed rule (missing parameter / unknown event name).
-pub fn eval_cond(
+pub fn eval_cond<B: Bindings>(
     cond: &CondExpr,
-    occ: &Occurrence,
+    occ: &B,
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
@@ -601,15 +658,15 @@ pub fn eval_cond(
 }
 
 /// An entity-id argument of a check.
-pub(crate) fn id_arg(p: &ParamRef, occ: &Occurrence) -> Result<i64, String> {
+pub(crate) fn id_arg<B: Bindings>(p: &ParamRef, occ: &B) -> Result<i64, String> {
     p.resolve_int(occ)
         .ok_or_else(|| format!("parameter {p} missing or not an id in {occ}"))
 }
 
 /// Evaluate one check of the rule language.
-pub(crate) fn eval_check(
+pub(crate) fn eval_check<B: Bindings>(
     check: &Check,
-    occ: &Occurrence,
+    occ: &B,
     state: &dyn AuthState,
     detector: &Detector,
 ) -> Result<bool, String> {
@@ -648,13 +705,13 @@ pub(crate) fn eval_check(
                 .ok_or_else(|| format!("unknown event {name:?} in SourceIs"))?;
             Ok(occ.has_source(id))
         }
-        Check::ParamEquals { name, value } => Ok(occ.params.get(name) == Some(value)),
+        Check::ParamEquals { name, value } => Ok(occ.value(name).as_deref() == Some(value)),
         Check::Custom { name, args } => {
             let mut resolved = Vec::with_capacity(args.len());
             for a in args {
                 resolved.push(int(a)?);
             }
-            Ok(state.custom_check(name, &resolved, occ))
+            Ok(state.custom_check(name, &resolved, occ.time()))
         }
     }
 }
@@ -1035,6 +1092,108 @@ mod tests {
         let mut rt = fx.rt();
         let rep = exec.dispatch(&mut rt, doctor, Params::new()).unwrap();
         assert_eq!(rep.alerts, vec!["doctor branch".to_string()]);
+    }
+
+    /// A request runs its rules on its fields where the event is a leaf
+    /// and is raised with them as parameters where a composite listens:
+    /// either way the report, the audit entries and the detector's counts
+    /// are those of `dispatch`, interpreted and through a plan. The rule's
+    /// follow-up raise forwards a parameter the request lacks to an event
+    /// nothing listens to — counted without being built through the plan,
+    /// raised through the detector by the interpreter, and failing alike.
+    #[test]
+    fn dispatch_request_is_dispatch() {
+        use crate::compile::{compile, NoBake};
+        use snoop::EventExpr;
+        let fixture = || {
+            let mut fx = Fixture::new();
+            let leaf = fx.detector.primitive("activate");
+            let fed = fx.detector.primitive("fed");
+            fx.detector.primitive("added");
+            let plus = fx
+                .detector
+                .define(&EventExpr::plus(EventExpr::named("fed"), Dur::from_secs(5)))
+                .unwrap();
+            fx.detector.watch(plus);
+            let when = |source: &str| {
+                CondExpr::all(vec![
+                    CondExpr::check(Check::UserExists(ParamRef::param("user"))),
+                    CondExpr::check(Check::ParamEquals {
+                        name: "session".into(),
+                        value: snoop::Value::Int(2),
+                    }),
+                    CondExpr::check(Check::SourceIs(source.into())),
+                ])
+            };
+            let then = |forward: &str| {
+                vec![
+                    ActionSpec::AddSessionRole {
+                        user: ParamRef::param("user"),
+                        session: ParamRef::param("session"),
+                        role: ParamRef::Int(5),
+                    },
+                    ActionSpec::RaiseEvent {
+                        event: "added".into(),
+                        params: vec![("role".into(), ParamRef::param(forward))],
+                    },
+                ]
+            };
+            fx.attach(Rule::new("on-leaf", leaf, when("activate")).then(then("role")));
+            fx.attach(Rule::new("on-fed", fed, when("fed")).then(then("user")));
+            (fx, leaf, fed)
+        };
+        // `(fired, else taken, errors, timers)` each case must show.
+        let cases: [(usize, &[(&str, i64)], _); 4] = [
+            (0, &[("user", 1), ("session", 2), ("role", 5)], (1, 0, 0, 0)),
+            (0, &[("user", 1), ("session", 2)], (1, 0, 1, 0)),
+            (0, &[("user", 1), ("session", 3)], (0, 1, 0, 0)),
+            (1, &[("user", 1), ("session", 2)], (1, 0, 0, 1)),
+        ];
+        for planned in [false, true] {
+            for (event, fields, shows) in cases {
+                let (mut typed, leaf, fed) = fixture();
+                let (mut occ, ..) = fixture();
+                let event = [leaf, fed][event];
+                let plan = planned
+                    .then(|| {
+                        compile(
+                            &typed.pool,
+                            &typed.detector,
+                            &NoBake,
+                            CompiledPool::default(),
+                        )
+                    })
+                    .map(Result::unwrap);
+                let mut params = Params::new();
+                for &(n, v) in fields {
+                    params.set(n, v);
+                }
+                let exec = Executor::new();
+                let mut rt = typed.rt();
+                rt.plan = plan.as_ref();
+                let a = exec.dispatch_request(&mut rt, event, fields).unwrap();
+                let mut rt = occ.rt();
+                rt.plan = plan.as_ref();
+                let b = exec.dispatch(&mut rt, event, params).unwrap();
+                let case = format!("plan {planned}, {event} {fields:?}");
+                assert_eq!(a, b, "{case}");
+                let timers = typed.detector.pending_timers();
+                assert_eq!(
+                    (a.fired, a.else_taken, a.errors.len(), timers),
+                    shows,
+                    "{case}"
+                );
+                assert_eq!(typed.log.entries(), occ.log.entries(), "{case}");
+                assert_eq!(typed.state.log, occ.state.log, "{case}");
+                let counts =
+                    |d: &Detector| (d.raised_count(), d.detected_count(), d.pending_timers());
+                assert_eq!(counts(&typed.detector), counts(&occ.detector), "{case}");
+            }
+        }
+        assert_eq!(
+            Executor::new().dispatch_request(&mut Fixture::new().rt(), EventId(0), &[]),
+            Err(DetectorError::UnknownEvent("E0".into()))
+        );
     }
 
     #[test]

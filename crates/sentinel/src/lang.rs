@@ -8,8 +8,10 @@
 //! module defines that small interpreted language; evaluation happens in
 //! [`crate::executor`] against a [`crate::state::AuthState`].
 
+use crate::bindings::Bindings;
 use serde::{Deserialize, Serialize};
-use snoop::{Key, Occurrence, Value};
+use snoop::{Key, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A reference to a value: either a parameter of the triggering occurrence
@@ -31,20 +33,29 @@ impl ParamRef {
         ParamRef::Param(name.into())
     }
 
-    /// Resolve against an occurrence. `None` when a named parameter is
-    /// absent (the executor treats that as a failed condition / action).
-    pub fn resolve(&self, occ: &Occurrence) -> Option<Value> {
+    /// Resolve against the triggering event. `None` when a named
+    /// parameter is absent (the executor treats that as a failed
+    /// condition / action).
+    pub fn resolve<B: Bindings>(&self, occ: &B) -> Option<Value> {
         match self {
-            ParamRef::Param(name) => occ.params.get(name).cloned(),
+            ParamRef::Param(name) => occ.value(name).map(Cow::into_owned),
             ParamRef::Int(i) => Some(Value::Int(*i)),
             ParamRef::Str(s) => Some(Value::Str(s.clone())),
         }
     }
 
-    /// Resolve to an integer (entity ids).
-    pub fn resolve_int(&self, occ: &Occurrence) -> Option<i64> {
+    /// Would [`ParamRef::resolve`] find a value? Builds nothing.
+    pub fn resolves<B: Bindings>(&self, occ: &B) -> bool {
         match self {
-            ParamRef::Param(name) => occ.params.get_int(name),
+            ParamRef::Param(name) => occ.value(name).is_some(),
+            ParamRef::Int(_) | ParamRef::Str(_) => true,
+        }
+    }
+
+    /// Resolve to an integer (entity ids).
+    pub fn resolve_int<B: Bindings>(&self, occ: &B) -> Option<i64> {
+        match self {
+            ParamRef::Param(name) => occ.int(name),
             ParamRef::Int(i) => Some(*i),
             ParamRef::Str(_) => None,
         }
@@ -459,7 +470,7 @@ impl fmt::Display for ActionSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snoop::{EventId, Params, Ts};
+    use snoop::{EventId, Occurrence, Params, Ts};
 
     fn occ() -> Occurrence {
         Occurrence::primitive(
@@ -475,6 +486,8 @@ mod tests {
         assert_eq!(ParamRef::param("user").resolve_int(&o), Some(7));
         assert_eq!(ParamRef::Int(3).resolve_int(&o), Some(3));
         assert_eq!(ParamRef::param("missing").resolve(&o), None);
+        assert!(!ParamRef::param("missing").resolves(&o));
+        assert!(ParamRef::param("name").resolves(&o));
         assert_eq!(
             ParamRef::Str("x".into()).resolve(&o),
             Some(Value::Str("x".into()))

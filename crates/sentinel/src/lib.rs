@@ -18,7 +18,9 @@
 //!   [`state::AuthState`], Then/Else action execution, cascaded rule
 //!   triggering via raised events, depth-guarded; one driver, fed either
 //!   by the pool (the interpreter) or by the plan [`compile`] lowers a
-//!   verified pool into;
+//!   verified pool into, and reading the triggering event through
+//!   [`bindings::Bindings`] — a Snoop occurrence, or a typed
+//!   [`bindings::Request`];
 //! * [`log::AuditLog`] — every firing, denial, alert and failure, queryable
 //!   for active-security windows.
 //!
@@ -28,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bindings;
 pub mod compile;
 pub mod executor;
 pub mod lang;
@@ -36,6 +39,7 @@ pub mod pool;
 pub mod rule;
 pub mod state;
 
+pub use bindings::{params_of, Bindings, Request};
 pub use compile::{
     compile, BoundActions, CCheck, CompileError, CompileHost, CompiledPool, CompiledRule, CondOp,
     DsdSetBaked, NoBake,

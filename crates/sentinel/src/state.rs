@@ -8,7 +8,7 @@
 //! boundary as `i64` (the parameter value type), keeping this crate
 //! independent of any particular monitor.
 
-use snoop::Occurrence;
+use snoop::Ts;
 
 /// Outcome of a state action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +67,10 @@ pub trait AuthState {
         let _ = (user, role);
         true
     }
-    /// Host-defined check (context constraints, privacy purposes, …).
-    fn custom_check(&self, name: &str, args: &[i64], occ: &Occurrence) -> bool {
-        let _ = (name, args, occ);
+    /// Host-defined check (context constraints, privacy purposes, …),
+    /// evaluated at `now`, the time of the triggering event.
+    fn custom_check(&self, name: &str, args: &[i64], now: Ts) -> bool {
+        let _ = (name, args, now);
         false
     }
 
@@ -89,9 +90,10 @@ pub trait AuthState {
     fn assign_user(&mut self, user: i64, role: i64) -> ActionOutcome;
     /// Deassign a user from a role.
     fn deassign_user(&mut self, user: i64, role: i64) -> ActionOutcome;
-    /// Host-defined action.
-    fn custom_action(&mut self, name: &str, args: &[i64], occ: &Occurrence) -> ActionOutcome {
-        let _ = (name, args, occ);
+    /// Host-defined action, run at `now`, the time of the triggering
+    /// event.
+    fn custom_action(&mut self, name: &str, args: &[i64], now: Ts) -> ActionOutcome {
+        let _ = (name, args, now);
         ActionOutcome::Rejected(format!("unknown custom action {name:?}"))
     }
 }
@@ -173,7 +175,7 @@ impl AuthState for PermissiveState {
         self.log.push(format!("deassign_user({u},{r})"));
         ActionOutcome::Done
     }
-    fn custom_action(&mut self, name: &str, args: &[i64], _occ: &Occurrence) -> ActionOutcome {
+    fn custom_action(&mut self, name: &str, args: &[i64], _now: Ts) -> ActionOutcome {
         self.log.push(format!("custom({name},{args:?})"));
         ActionOutcome::Done
     }

@@ -6,6 +6,15 @@
 //! signaling to the rules that some event has occurred"). Rules are outside
 //! this crate: callers mark the events they care about with [`Detector::watch`]
 //! and receive [`Detection`]s back from [`Detector::raise`] / [`Detector::advance_to`].
+//!
+//! Two kinds of primitive need no [`Occurrence`] at all, and the detector
+//! says which ones they are: a *leaf* — watched, no composite subscribes to
+//! it — whose only detection is its own occurrence
+//! ([`Detector::deliver_leaf`] counts it and leaves the parameters with the
+//! caller), and an *inert* primitive — unwatched, no composite subscribes
+//! to it — whose raise detects nothing ([`Detector::raise_inert`] only
+//! counts it). Everything that feeds a composite goes through
+//! [`Detector::deliver`].
 
 use crate::builder::EventExpr;
 use crate::calendar::CalendarExpr;
@@ -139,6 +148,15 @@ enum NodeKey {
 }
 
 /// The composite event detector.
+///
+/// A raise goes through [`Detector::deliver`] (or [`Detector::raise`]),
+/// except for two kinds of primitive that no composite subscribes to: a
+/// watched *leaf*, whose one detection is its own occurrence, which
+/// [`Detector::deliver_leaf`] counts and leaves to the caller to bind, and
+/// an *inert* primitive ([`Detector::is_inert`]: not watched either),
+/// whose raise [`Detector::raise_inert`] only counts. Both answer from the
+/// event graph as it is at the call, so they stay right across policy
+/// changes.
 ///
 /// Serializable: the durable engine's snapshots persist the full detector
 /// state (graph, buffered partial detections, pending timers, clock), so a
@@ -511,14 +529,9 @@ impl Detector {
     /// result: a watched primitive no composite subscribes to, which is
     /// what most raises are, delivers its own occurrence by itself.
     pub fn deliver(&mut self, id: EventId, params: Params) -> Result<Delivered, DetectorError> {
-        let node = self
-            .nodes
-            .get_mut(id.0 as usize)
-            .ok_or_else(|| DetectorError::UnknownEvent(id.to_string()))?;
-        if !matches!(node.state, NodeState::Primitive { .. }) {
-            return Err(DetectorError::NotPrimitive(id));
-        }
-        let occ = Occurrence::leaf(id, self.now, params, &mut node.own_sources);
+        let now = self.now;
+        let node = self.primitive_node(id)?;
+        let occ = Occurrence::leaf(id, now, params, &mut node.own_sources);
         let leaf = node.watched && node.parents.is_empty();
         self.raised += 1;
         if leaf {
@@ -528,6 +541,60 @@ impl Detector {
         let mut detections = Vec::new();
         self.propagate(occ, &mut detections);
         Ok(Delivered::Many(detections))
+    }
+
+    /// The raise of a *leaf*: a watched primitive no composite subscribes
+    /// to. Such a raise has exactly one result, the primitive's own
+    /// occurrence, and nothing in the graph keeps it, so a caller that
+    /// already holds the occurrence's parameters in a form of its own
+    /// needs no [`Occurrence`] built: for a leaf this counts the raise and
+    /// the detection, as [`Detector::deliver`] would, and returns `true`;
+    /// the caller then runs the rules on what it holds, at [`Detector::now`].
+    ///
+    /// Any other primitive returns `false` and counts nothing: it must be
+    /// raised through [`Detector::deliver`]. The id is validated exactly
+    /// as `deliver` validates it.
+    pub fn deliver_leaf(&mut self, id: EventId) -> Result<bool, DetectorError> {
+        let node = self.primitive_node(id)?;
+        if !(node.watched && node.parents.is_empty()) {
+            return Ok(false);
+        }
+        self.raised += 1;
+        self.detected += 1;
+        Ok(true)
+    }
+
+    /// Is `id` an *inert* primitive: not watched, and no composite
+    /// subscribes to it? Raising one detects nothing and changes no node,
+    /// so it is only counted ([`Detector::raise_inert`]).
+    pub fn is_inert(&self, id: EventId) -> bool {
+        self.nodes.get(id.0 as usize).is_some_and(|n| {
+            matches!(n.state, NodeState::Primitive { .. }) && !n.watched && n.parents.is_empty()
+        })
+    }
+
+    /// Raise `id` if it is inert ([`Detector::is_inert`]): count the raise
+    /// and return `true`, with nothing built and nothing delivered — what
+    /// [`Detector::deliver`] would have done. Any other event returns
+    /// `false` and counts nothing.
+    pub fn raise_inert(&mut self, id: EventId) -> bool {
+        let inert = self.is_inert(id);
+        if inert {
+            self.raised += 1;
+        }
+        inert
+    }
+
+    /// The node of primitive `id`, or why `id` cannot be raised.
+    fn primitive_node(&mut self, id: EventId) -> Result<&mut Node, DetectorError> {
+        let node = self
+            .nodes
+            .get_mut(id.0 as usize)
+            .ok_or_else(|| DetectorError::UnknownEvent(id.to_string()))?;
+        if !matches!(node.state, NodeState::Primitive { .. }) {
+            return Err(DetectorError::NotPrimitive(id));
+        }
+        Ok(node)
     }
 
     /// Raise a primitive event by name.
@@ -1058,6 +1125,43 @@ mod tests {
         assert_eq!(b.len(), 1, "b is unwatched; the AND detects");
         assert_eq!(b[0].event(), both);
         assert_eq!((d.raised_count(), d.detected_count()), (3, 3));
+    }
+
+    /// The two raises that build no occurrence count what `deliver` counts,
+    /// refuse what it refuses, and decline every other primitive without
+    /// counting it.
+    #[test]
+    fn leaf_and_inert_raises_count_like_deliver() {
+        let mut d = det();
+        let leaf = d.primitive("leaf");
+        let quiet = d.primitive("quiet");
+        let both = d.define(&E::and(E::prim("a"), E::prim("b"))).unwrap();
+        let a = d.lookup("a").unwrap();
+        d.watch(leaf);
+        d.watch(a);
+        assert_eq!(d.deliver_leaf(leaf), Ok(true));
+        assert_eq!((d.raised_count(), d.detected_count()), (1, 1));
+        // Subscribed to by the AND, unwatched, or not a primitive: declined.
+        assert_eq!(d.deliver_leaf(a), Ok(false));
+        assert_eq!(d.deliver_leaf(quiet), Ok(false));
+        assert_eq!(d.deliver_leaf(both), Err(DetectorError::NotPrimitive(both)));
+        assert!(matches!(
+            d.deliver_leaf(EventId(99)),
+            Err(DetectorError::UnknownEvent(_))
+        ));
+        assert_eq!((d.raised_count(), d.detected_count()), (1, 1));
+
+        let b = d.lookup("b").unwrap();
+        assert!(d.is_inert(quiet));
+        for busy in [leaf, a, b, both, EventId(99)] {
+            assert!(!d.is_inert(busy), "{busy}");
+            assert!(!d.raise_inert(busy));
+        }
+        assert_eq!(d.raised_count(), 1);
+        assert!(d.raise_inert(quiet));
+        assert_eq!((d.raised_count(), d.detected_count()), (2, 1));
+        assert!(d.raise(quiet, Params::new()).unwrap().is_empty());
+        assert_eq!((d.raised_count(), d.detected_count()), (3, 1));
     }
 
     #[test]
