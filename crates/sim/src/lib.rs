@@ -59,7 +59,7 @@ pub use world::{apply_client_op, Choice, SimStore, World};
 
 use owte_core::DurableConfig;
 use policy::{DailyWindow, PolicyGraph};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step};
 
 /// Everything one checking run needs: the enterprise and workload to
 /// simulate (by spec + seed, so any report is replayable), the durable
@@ -68,8 +68,8 @@ use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceS
 pub struct CheckConfig {
     /// Enterprise shape.
     pub enterprise: EnterpriseSpec,
-    /// Client workload shape.
-    pub trace: TraceSpec,
+    /// Client script length, in steps.
+    pub steps: usize,
     /// Seed for [`generate_enterprise`].
     pub ent_seed: u64,
     /// Seed for [`generate_trace`].
@@ -91,7 +91,7 @@ pub struct CheckConfig {
 /// the minimal failing schedule plus the seeds needed to replay it.
 pub fn check(cfg: &CheckConfig) -> CheckReport {
     let graph = generate_enterprise(&cfg.enterprise, cfg.ent_seed);
-    let trace = generate_trace(&cfg.trace, cfg.trace_seed);
+    let trace = generate_trace(&graph, cfg.steps, cfg.trace_seed);
     let world =
         World::new(&graph, trace, cfg.durable.clone()).expect("generated policy instantiates");
     let invariants = Invariants::from_reference(&graph);

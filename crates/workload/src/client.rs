@@ -73,6 +73,8 @@ impl Client {
                 user: user(*i)?,
                 role: role(r)?,
             },
+            Step::EnableRole { role: r } => JournalOp::EnableRole { role: role(r)? },
+            Step::DisableRole { role: r } => JournalOp::DisableRole { role: role(r)? },
             Step::Advance { secs } => JournalOp::AdvanceTo {
                 to: now + Dur::from_secs(*secs),
             },

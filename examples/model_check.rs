@@ -21,7 +21,7 @@ use sim::{
     check, explore, strip_sod, tiny_enterprise, tiny_ops, Budget, CheckConfig, Invariants, Outcome,
     Strategy, World,
 };
-use workload::{EnterpriseSpec, TraceSpec};
+use workload::EnterpriseSpec;
 
 fn main() {
     let mut failed = false;
@@ -132,14 +132,7 @@ fn main() {
     println!("== seeded-random sweep: generated medium enterprise (seed {seed}) ==");
     let report = check(&CheckConfig {
         enterprise: EnterpriseSpec::sized(10),
-        trace: TraceSpec {
-            steps: 40,
-            users: 20,
-            roles: 10,
-            objects: 20,
-            w_context: 5,
-            ..TraceSpec::default()
-        },
+        steps: 40,
         ent_seed: seed,
         trace_seed: seed ^ 0x5EED,
         durable: DurableConfig {

@@ -21,7 +21,7 @@ use owte_core::{
 use rbac::SessionId;
 use snoop::Ts;
 use support::Driver;
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step};
 
 /// [`Driver`] over a [`DurableEngine`], recording every operation the
 /// engine *acknowledged journaling* (detected via the op counter, since a
@@ -72,20 +72,6 @@ fn enterprise(seed: u64) -> (workload::EnterpriseSpec, policy::PolicyGraph) {
     (spec, graph)
 }
 
-fn trace_for(spec: &EnterpriseSpec, steps: usize, seed: u64) -> Vec<Step> {
-    generate_trace(
-        &TraceSpec {
-            steps,
-            users: spec.users,
-            roles: spec.roles,
-            objects: spec.permissions,
-            w_context: 5,
-            ..TraceSpec::default()
-        },
-        seed,
-    )
-}
-
 /// What the crash-consistency cases recovered.
 #[derive(Debug, Default)]
 struct Recovered {
@@ -111,7 +97,7 @@ fn recovery_equals_prefix_replay() {
             let (ent_seed, trace_seed) = (rng.below(200) as u64, rng.below(200) as u64);
             let kill_at = 1 + rng.below(119) as u64;
             let (spec, graph) = enterprise(ent_seed);
-            let trace = trace_for(&spec, 100, trace_seed);
+            let trace = generate_trace(&graph, 100, trace_seed);
             let plan = FaultPlan {
                 kill_at_op: Some(kill_at),
                 torn_writes: true,
@@ -170,7 +156,7 @@ fn clean_reopen_is_lossless() {
         10,
         |rng, seen: &mut Recovered| {
             let (spec, graph) = enterprise(rng.below(200) as u64);
-            let trace = trace_for(&spec, 80, rng.below(200) as u64);
+            let trace = generate_trace(&graph, 80, rng.below(200) as u64);
             let config = DurableConfig {
                 snapshot_every: Some(16),
                 ..DurableConfig::default()
@@ -208,7 +194,7 @@ fn clean_reopen_is_lossless() {
 /// acknowledged ops + the policy.
 fn small_run(snapshot_every: Option<u64>) -> (MemStorage, Vec<JournalOp>, policy::PolicyGraph) {
     let (spec, graph) = enterprise(7);
-    let trace = trace_for(&spec, 40, 11);
+    let trace = generate_trace(&graph, 40, 11);
     let config = DurableConfig {
         snapshot_every,
         ..DurableConfig::default()
@@ -318,7 +304,7 @@ fn file_storage_survives_process_restart() {
     std::fs::remove_dir_all(&dir).ok();
 
     let (spec, graph) = enterprise(5);
-    let trace = trace_for(&spec, 60, 9);
+    let trace = generate_trace(&graph, 60, 9);
     let config = DurableConfig {
         snapshot_every: Some(16),
         ..DurableConfig::default()

@@ -9,7 +9,7 @@ use rbac::SessionId;
 use repl::{state_matches, Cluster, NetFaultKind, NetFaultPlan, ReadOutcome, ReplConfig};
 use sim::{apply_client_op, tiny_enterprise};
 use snoop::{Civil, Ts};
-use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, Step};
 
 fn at(h: u32, m: u32) -> Ts {
     Civil::new(2000, 1, 1, h, m, 0).to_ts()
@@ -103,16 +103,7 @@ fn lossy_transport_converges() {
             ..EnterpriseSpec::default()
         };
         let graph = generate_enterprise(&spec, rng.below(1000) as u64);
-        let trace = generate_trace(
-            &TraceSpec {
-                steps: 24,
-                users: 3,
-                roles: 4,
-                objects: 4,
-                ..TraceSpec::default()
-            },
-            rng.below(1000) as u64,
-        );
+        let trace = generate_trace(&graph, 24, rng.below(1000) as u64);
         let config = ReplConfig {
             net: NetFaultPlan {
                 p_drop: 0.35,

@@ -24,7 +24,7 @@ use rbac::{ObjId, OpId, PermId, RoleId, SessionId, System};
 use snoop::Ts;
 use std::collections::{BTreeMap, BTreeSet};
 use workload::enterprise::user_name;
-use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, Client, EnterpriseSpec, Step};
 
 /// Questions asked per monitor.
 const QUESTIONS: usize = 2_000;
@@ -256,16 +256,7 @@ fn no_stale_view(seed: u64, rng: &mut SplitMix64, applied: &mut BTreeSet<&'stati
     let spec = EnterpriseSpec::sized(20);
     let mut graph = generate_enterprise(&spec, seed);
     let engine = SharedEngine::new(Engine::from_policy(&graph, Ts::ZERO).expect("instantiates"));
-    let trace = generate_trace(
-        &TraceSpec {
-            steps: 400,
-            users: spec.users,
-            roles: spec.roles,
-            objects: spec.permissions,
-            ..TraceSpec::default()
-        },
-        seed,
-    );
+    let trace = generate_trace(&graph, 400, seed);
     let mut client = Client::new(spec.users);
     let fresh = |engine: &SharedEngine, at: &str| {
         engine.with(|e| {

@@ -1,13 +1,14 @@
-//! Replication property: for any random enterprise and trace, a replica
-//! rebuilt from the primary's journal is state-identical — the determinism
-//! that makes the paper's "distributed access control" future work
-//! implementable as state-machine replication.
+//! Replication property: for any random enterprise and policy-aware
+//! trace, a replica rebuilt from the primary's journal is state-identical
+//! — the determinism that makes the paper's "distributed access control"
+//! future work implementable as state-machine replication.
 //!
 //! The primary is the one that ships: a `DurableEngine<MemStorage>` that
 //! never compacts its log (`snapshot_every: None`, as cluster nodes run).
 //! Replicas are built two ways — by replaying the decoded journal on a
 //! fresh engine, and by recovering a second durable engine from the
-//! journal bytes.
+//! journal bytes. The 3-node `repl::Cluster` that ships this journal is
+//! rung 6 of the refinement ladder (`support::ladder`).
 
 mod support;
 
@@ -16,7 +17,7 @@ use owte_core::{
 };
 use snoop::Ts;
 use support::{drive, Driver};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, TraceSpec};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec};
 
 /// [`Driver`] over the primary: every request is journaled, then applied;
 /// decisions are irrelevant here (denied requests are journaled too).
@@ -47,15 +48,16 @@ fn config() -> DurableConfig {
 }
 
 /// A primary built from enterprise `spec` (seed `ent_seed`), driven
-/// through a `trace` (seed `trace_seed`), and the policy it started from.
+/// through a policy-aware trace of `steps` steps (seed `trace_seed`), and
+/// the policy it started from.
 fn primary_run(
     spec: &EnterpriseSpec,
     ent_seed: u64,
-    trace: &TraceSpec,
+    steps: usize,
     trace_seed: u64,
 ) -> (DurableEngine<MemStorage>, policy::PolicyGraph) {
     let graph = generate_enterprise(spec, ent_seed);
-    let trace = generate_trace(trace, trace_seed);
+    let trace = generate_trace(&graph, steps, trace_seed);
     let mut primary = DurableEngine::create(MemStorage::new(), &graph, Ts::ZERO, config()).unwrap();
     drive(&mut Primary(&mut primary), &trace, spec.users);
     (primary, graph)
@@ -76,16 +78,8 @@ fn replica_equals_primary() {
             capped_fraction: 0.3,
             ..EnterpriseSpec::default()
         };
-        let trace = TraceSpec {
-            steps: 150,
-            users: spec.users,
-            roles: spec.roles,
-            objects: spec.permissions,
-            w_context: 5,
-            ..TraceSpec::default()
-        };
         let (ent_seed, trace_seed) = (rng.below(500) as u64, rng.below(500) as u64);
-        let (primary, graph) = primary_run(&spec, ent_seed, &trace, trace_seed);
+        let (primary, graph) = primary_run(&spec, ent_seed, 150, trace_seed);
         let ops: Vec<JournalOp> = primary
             .ops_from(0)
             .unwrap()
@@ -116,14 +110,7 @@ fn replica_from_serialized_journal() {
         |rng, seen: &mut Journaled| {
             let seed = rng.below(200) as u64;
             let spec = EnterpriseSpec::sized(8);
-            let trace = TraceSpec {
-                steps: 80,
-                users: spec.users,
-                roles: spec.roles,
-                objects: spec.permissions,
-                ..TraceSpec::default()
-            };
-            let (primary, _) = primary_run(&spec, seed, &trace, seed);
+            let (primary, _) = primary_run(&spec, seed, 80, seed);
             let replica = DurableEngine::open(primary.storage().clone(), config())
                 .unwrap_or_else(|e| panic!("recovers: {e}"));
             assert_eq!(replica.snapshot_ops(), 0, "replayed from genesis");

@@ -26,7 +26,7 @@ use shard::{ShardSession, ShardedEngine};
 use snoop::{EventId, Ts};
 use std::collections::{BTreeMap, BTreeSet};
 use support::{drive, Driver};
-use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step, TraceSpec};
+use workload::{generate_enterprise, generate_trace, EnterpriseSpec, Step};
 
 /// The session-id-free audit projection compared at shard counts where
 /// allocation order may legitimately differ from the reference.
@@ -329,15 +329,7 @@ impl Driver for Harness {
 }
 
 fn run_equivalence(spec: EnterpriseSpec, ent_seed: u64, trace_seed: u64, steps: usize) {
-    let trace_spec = TraceSpec {
-        steps,
-        users: spec.users,
-        roles: spec.roles,
-        objects: spec.permissions,
-        w_context: if spec.context_fraction > 0.0 { 5 } else { 0 },
-        ..TraceSpec::default()
-    };
-    let trace = generate_trace(&trace_spec, trace_seed);
+    let trace = generate_trace(&generate_enterprise(&spec, ent_seed), steps, trace_seed);
     for shards in [1usize, 2, 4, 8] {
         let ctx = format!("enterprise seed {ent_seed}, trace seed {trace_seed}, {shards} shard(s)");
         let mut h = Harness::new(&spec, ent_seed, shards, ctx);

@@ -1,11 +1,14 @@
 //! Shared by the root suites: the runner every seeded property goes
 //! through, the runner that pushes a generated trace through an engine
-//! ([`drive`]), and — for the policy-change suites (`plan_carry_over`,
-//! `compiled_equivalence`) — a seeded generator of the role-property edits
+//! ([`drive`]), the refinement ladder every trace-equivalence suite runs
+//! ([`ladder`]), and — for the policy-change suites (`plan_carry_over`,
+//! `ladder`) — a seeded generator of the role-property edits
 //! `policy::regenerate` applies incrementally. Every stream is a
 //! SplitMix64, so a case does not depend on which `rand` is linked.
 
 #![allow(dead_code)] // each suite uses part of this module
+
+pub mod ladder;
 
 use owte_core::{Engine, JournalOp, Outcome, SplitMix64};
 use policy::{DailyWindow, PolicyGraph};
@@ -26,16 +29,6 @@ pub trait Driver {
 
     /// Run `op` and return the answer, `None` for a refusal.
     fn submit(&mut self, op: &JournalOp) -> Option<Outcome>;
-}
-
-/// Whether `answer` (`None`: a refusal) grants the request `op`, for the
-/// suites that tally decisions; `None` for clock and context events,
-/// which decide nothing.
-pub fn granted(op: &JournalOp, answer: Option<Outcome>) -> Option<bool> {
-    match op {
-        JournalOp::AdvanceTo { .. } | JournalOp::SetContext { .. } => None,
-        _ => Some(!matches!(answer, None | Some(Outcome::Access(false)))),
-    }
 }
 
 /// Run `trace` against `driver` through a [`Client`] for `users` users.
